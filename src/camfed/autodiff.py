@@ -176,19 +176,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    out = Tensor(a.data.T, _parents=(a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g.T)
-
-    out._backward = bwd
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     out = Tensor(np.where(mask, a.data, 0.0), _parents=(a,))
@@ -211,36 +198,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    out = Tensor(s, _parents=(a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * s * (1.0 - s))
-
-    out._backward = bwd
-    return out
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilized by max subtraction."""
-    if a.data.ndim != 2:
-        raise ValueError("softmax_rows expects a 2-D tensor")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s, _parents=(a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            inner = (g * s).sum(axis=1, keepdims=True)
-            a._accum(s * (g - inner))
-
-    out._backward = bwd
-    return out
-
-
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise normalization to zero mean, unit variance (no affine params)."""
     if a.data.ndim != 2:
@@ -256,40 +213,6 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
             gm = g.mean(axis=1, keepdims=True)
             gx = (g * xhat).mean(axis=1, keepdims=True)
             a._accum(inv_std * (g - gm - xhat * gx))
-
-    out._backward = bwd
-    return out
-
-
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ValueError("concat needs at least one tensor")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 _parents=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
-
-    out._backward = bwd
-    return out
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("slice_cols expects a 2-D tensor")
-    out = Tensor(a.data[:, lo:hi], _parents=(a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:, lo:hi] = g
-            a._accum(full)
 
     out._backward = bwd
     return out

@@ -22,6 +22,11 @@ import json
 import logging
 import sys
 
+from .experiments import (DEFAULT_SCALE, PRESET_NAMES, SWEEPABLE,
+                          ExperimentConfig, build_engine, cross_eval_matrix,
+                          preset, run_experiment, scaled, sweep)
+from .model import load_checkpoint
+
 log = logging.getLogger("camfed")
 
 
@@ -30,12 +35,11 @@ def _apply_overrides(config, seed, scale):
         config.seed = int(seed)
     if scale is not None and scale != 1.0:
         for spec in config.clients:
-            spec.n_points = max(2, round(spec.n_points / scale))
+            spec.n_points = scaled(spec.n_points, scale)
     return config
 
 
 def cmd_run(args) -> int:
-    from .experiments import ExperimentConfig, run_experiment
     config = _apply_overrides(ExperimentConfig.from_json(args.config),
                               args.seed, args.scale)
     log.info("running %s (%d clients, %d rounds) -> %s",
@@ -48,7 +52,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    from .experiments import preset
     config = preset(args.name, scale=args.scale)
     if args.emit:
         config.save_json(args.emit)
@@ -59,7 +62,6 @@ def cmd_preset(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .experiments import ExperimentConfig, sweep
     config = _apply_overrides(ExperimentConfig.from_json(args.config),
                               args.seed, args.scale)
     values = [float(v) if "." in v else int(v)
@@ -72,18 +74,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
-    import numpy as np
-
-    from .experiments import ExperimentConfig, build_engine, cross_eval_matrix
-    from .model import load_checkpoint
     store, _, extras, meta = load_checkpoint(args.checkpoint)
     config = ExperimentConfig.from_dict(meta["config"])
     engine = build_engine(config)
     engine.store.values[:] = store.values
     for c in engine.clients:
         key = f"private:{c.client_id}"
-        if key in extras:
-            c.private_values = np.asarray(extras[key])
+        if key not in extras:
+            raise ValueError(f"checkpoint has no {key} array")
+        c.private_values = extras[key]
     os.makedirs(args.out, exist_ok=True)
     matrix = cross_eval_matrix(engine)
     path = os.path.join(args.out, "cross_eval.csv")
@@ -110,16 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_preset = sub.add_parser("preset", help="emit a use-case preset config")
-    p_preset.add_argument("name", choices=["uc1", "uc2", "uc3", "uc4", "uc5"])
+    p_preset.add_argument("name", choices=PRESET_NAMES)
     p_preset.add_argument("--emit", default=None)
-    p_preset.add_argument("--scale", type=float, default=20.0)
+    p_preset.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p_preset.set_defaults(func=cmd_preset)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=["local_epochs", "topk_retention",
-                                  "straggler_ratio", "select_m"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEPABLE)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values")
     p_sweep.add_argument("--seed", type=int, default=None)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .federation import ClientState, EngineOptions, FederationEngine
-from .metrics import (CrossEvalEntry, CrossEvalMatrix, EvalReport,
-                      cross_evaluate, rounds_to_target)
+from .metrics import (CrossEvalMatrix, EvalReport, cross_evaluate,
+                      rounds_to_target)
 from .model import ModelConfig, PartitionPolicy, save_checkpoint
 from .netsim import NetworkProfile
 from .seeding import derive_seed
@@ -110,7 +110,8 @@ class ExperimentConfig:
             fh.write("\n")
 
 
-def _scaled(n_full: int, scale: float) -> int:
+def scaled(n_full: int, scale: float) -> int:
+    """A full-scale dataset size divided by `scale`, rounded, at least 2."""
     return max(2, round(n_full / scale))
 
 
@@ -123,7 +124,7 @@ def preset(name: str, scale: float = DEFAULT_SCALE) -> ExperimentConfig:
     uc4: three car clients with 1 / 3 / 4 cameras (the masking use case).
     uc5: 58 single-scenario vehicle clients for the straggler study.
     """
-    make = lambda rig, n, **kw: ClientSpec(rig=rig, n_points=_scaled(n, scale),
+    make = lambda rig, n, **kw: ClientSpec(rig=rig, n_points=scaled(n, scale),
                                            local_epochs=2, **kw)
     if name == "uc1":
         return ExperimentConfig(
@@ -247,13 +248,9 @@ def summarize(engine: FederationEngine, config: ExperimentConfig) -> dict:
 
 
 def cross_eval_matrix(engine: FederationEngine) -> CrossEvalMatrix:
-    entries = [CrossEvalEntry(client_id=c.client_id, rig=c.rig,
-                              test_points=c.dataset.test, mask=c.mask,
-                              private_values=c.private_values)
-               for c in engine.clients]
     seg_sizes = [(s.name, s.length) for s in engine.store.segments]
     return cross_evaluate(engine.config, seg_sizes, engine.store.values,
-                          engine.private_idx, entries)
+                          engine.private_idx, engine.clients)
 
 
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):

@@ -14,13 +14,13 @@ parallelism cannot change results.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .masking import amcm_mask
-from .metrics import iou
+from .metrics import mean_iou
 from .model import ModelConfig, PartitionPolicy, ToyBevt, init_params, split_params
 from .netsim import CommLedger, NetworkProfile, StragglerPlan
 from .optim import AdamW, NonFiniteGradientError, sgd_step
@@ -190,7 +190,6 @@ class EngineOptions:
     adam_eps: float = 1e-8
     weight_decay: float = 0.01
     use_amcm: bool = True
-    amcm_max_range: float | None = None
 
     def __post_init__(self):
         if self.optimizer not in ("adamw", "sgd"):
@@ -237,8 +236,7 @@ class FederationEngine:
             c.private_values = self.store.values[self.private_idx].copy()
             if c.mask is None:
                 c.mask = (amcm_mask(c.rig, model_config.bev_grid,
-                                    model_config.world_extent,
-                                    self.options.amcm_max_range)
+                                    model_config.world_extent)
                           if self.options.use_amcm
                           else np.ones(model_config.bev_grid))
 
@@ -271,10 +269,8 @@ class FederationEngine:
     # -- local training -------------------------------------------------------
 
     def _build_local_store(self, client: ClientState) -> ParamStore:
-        values = self.store.values.copy()
-        values[self.private_idx] = client.private_values
         return ParamStore([(s.name, s.length) for s in self.store.segments],
-                          values=values)
+                          values=self.personalized_values(client))
 
     def _make_optimizer(self, client: ClientState) -> AdamW | None:
         if self.options.optimizer != "adamw":
@@ -352,20 +348,8 @@ class FederationEngine:
 
     def evaluate_client(self, client: ClientState) -> float:
         """Mean IoU of the client's personalized model on its test split."""
-        if not client.dataset.test:
-            return float("nan")
-        local = ParamStore([(s.name, s.length) for s in self.store.segments],
-                           values=self.personalized_values(client))
-        model = ToyBevt(self.config, local)
-        scores = []
-        test = client.dataset.test
-        for lo in range(0, len(test), 16):   # chunked to bound graph size
-            chunk = test[lo:lo + 16]
-            logits = model.forward_batch([p.views for p in chunk],
-                                         client.rig, client.mask)
-            scores.extend(iou(lg.data, p.bev_gt, client.mask)
-                          for lg, p in zip(logits, chunk))
-        return float(np.mean(scores))
+        model = ToyBevt(self.config, self._build_local_store(client))
+        return mean_iou(model, client.rig, client.mask, client.dataset.test)
 
     # -- the round loop ---------------------------------------------------------
 

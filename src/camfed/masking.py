@@ -6,58 +6,32 @@ cells are excluded from the loss and their query gradients are zeroed, so
 clients with one camera and clients with four interoperate in aggregation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .world import CameraRig, wrap_angle
-
-
-@dataclass(frozen=True)
-class FovWedge:
-    yaw_center: float
-    half_angle: float
-    max_range: float
-
-    def __post_init__(self):
-        if not (0.0 < self.half_angle <= 180.0):
-            raise ValueError("half_angle must be in (0, 180]")
-
-    def contains(self, bearing_deg: float, rng: float) -> bool:
-        if rng > self.max_range:
-            return False
-        return abs(float(wrap_angle(bearing_deg - self.yaw_center))) <= self.half_angle
-
-
-def wedges_from_rig(rig: CameraRig, max_range: float) -> list:
-    return [FovWedge(yaw_center=c.yaw, half_angle=c.fov_azimuth / 2.0,
-                     max_range=max_range) for c in rig.cameras]
+from .world import CameraRig, cell_centers, wrap_angle
 
 
 def amcm_mask(rig: CameraRig, grid, extent: float,
               max_range: float | None = None) -> np.ndarray:
     """Active-cell mask: 1 iff a cell center falls in any camera's FoV wedge.
 
-    Cell centers use the same layout as the BEV rasterizer (row -> y,
-    column -> x, ego at the grid center). A cell whose center coincides with
-    the ego has no defined bearing and is active by convention. Wedge edges
-    are closed: a bearing exactly on the boundary counts as inside.
+    A camera's wedge spans its yaw +- half its azimuth FoV, out to max_range.
+    Cell centers use the same layout as the BEV rasterizer. A cell whose
+    center coincides with the ego has no defined bearing and is active by
+    convention. Wedge edges are closed: a bearing exactly on the boundary
+    counts as inside.
     """
     if len(rig.cameras) == 0:
         raise ValueError("amcm_mask requires at least one camera")
     if max_range is None:
         max_range = extent * 2.0 ** 0.5   # cover the square's corners
-    h, w = grid
-    wedges = wedges_from_rig(rig, max_range)
-    ys = -extent + (np.arange(h) + 0.5) * (2.0 * extent / h)
-    xs = -extent + (np.arange(w) + 0.5) * (2.0 * extent / w)
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = cell_centers(grid, extent)
     rng = np.hypot(gx, gy)
     bearing = np.degrees(np.arctan2(gy, gx))
-    mask = np.zeros((h, w), dtype=np.float64)
-    for wd in wedges:
-        inside = (np.abs(wrap_angle(bearing - wd.yaw_center)) <= wd.half_angle)
-        inside &= rng <= wd.max_range
+    mask = np.zeros(gx.shape, dtype=np.float64)
+    for cam in rig.cameras:
+        inside = np.abs(wrap_angle(bearing - cam.yaw)) <= cam.fov_azimuth / 2.0
+        inside &= rng <= max_range
         mask[inside] = 1.0
     mask[rng == 0.0] = 1.0
     return mask

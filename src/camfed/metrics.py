@@ -33,6 +33,21 @@ def iou(pred_logits: np.ndarray, gt: np.ndarray, mask: np.ndarray,
     return float(inter / union)
 
 
+def mean_iou(model: ToyBevt, rig, mask: np.ndarray, points: list) -> float:
+    """Mean IoU of `model` over data points of one rig; nan without points.
+
+    Points run through forward_batch 16 at a time, which bounds the graph
+    size without changing any point's score.
+    """
+    scores = []
+    for lo in range(0, len(points), 16):
+        chunk = points[lo:lo + 16]
+        logits = model.forward_batch([p.views for p in chunk], rig, mask)
+        scores.extend(iou(lg.data, p.bev_gt, mask)
+                      for lg, p in zip(logits, chunk))
+    return float(np.mean(scores)) if scores else float("nan")
+
+
 @dataclass
 class CrossEvalMatrix:
     """IoU of every personalized model (column) on every testset (row)."""
@@ -52,46 +67,33 @@ class CrossEvalMatrix:
             header = ["testset"] + [f"model_{c}" for c in self.client_ids]
             fh.write(",".join(header) + "\n")
             for i, cid in enumerate(self.client_ids):
-                row = [f"testset_{cid}"] + [repr(v) for v in self.values[i]]
+                row = [f"testset_{cid}"] + [repr(float(v)) for v in self.values[i]]
                 fh.write(",".join(row) + "\n")
-
-
-@dataclass
-class CrossEvalEntry:
-    client_id: int
-    rig: object
-    test_points: list
-    mask: np.ndarray
-    private_values: np.ndarray
 
 
 def cross_evaluate(config: ModelConfig, segment_sizes: list,
                    base_values: np.ndarray, private_idx: np.ndarray,
-                   entries: list) -> CrossEvalMatrix:
+                   clients: list) -> CrossEvalMatrix:
     """Evaluate each client's personalized model on every client's testset.
 
-    Entry (i, j) couples model j's private slice with testset i's rig
-    geometry and mask: a model visiting a foreign rig keeps its own
-    personalization, which is exactly the mismatch being measured.
+    `clients` are the engine's ClientStates. Entry (i, j) couples model j's
+    private slice with testset i's rig geometry and mask: a model visiting a
+    foreign rig keeps its own personalization, which is exactly the mismatch
+    being measured.
     """
-    if not entries:
+    if not clients:
         raise ValueError("cross_evaluate needs at least one client")
-    shapes = {e.mask.shape for e in entries}
-    if len(shapes) != 1:
+    if len({c.mask.shape for c in clients}) != 1:
         raise ValueError("testset grids have incompatible shapes")
-    k = len(entries)
-    values = np.zeros((k, k))
-    for j, model_entry in enumerate(entries):
+    values = np.zeros((len(clients), len(clients)))
+    for j, owner in enumerate(clients):
         full = base_values.copy()
-        full[private_idx] = model_entry.private_values
+        full[private_idx] = owner.private_values
         model = ToyBevt(config, ParamStore(segment_sizes, values=full))
-        for i, data_entry in enumerate(entries):
-            scores = [iou(model.forward(p.views, data_entry.rig,
-                                        data_entry.mask).data,
-                          p.bev_gt, data_entry.mask)
-                      for p in data_entry.test_points]
-            values[i, j] = float(np.mean(scores)) if scores else float("nan")
-    return CrossEvalMatrix(client_ids=[e.client_id for e in entries],
+        for i, data in enumerate(clients):
+            values[i, j] = mean_iou(model, data.rig, data.mask,
+                                    data.dataset.test)
+    return CrossEvalMatrix(client_ids=[c.client_id for c in clients],
                            values=values)
 
 

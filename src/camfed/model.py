@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .masking import apply_mask
 from .params import ParamStore
-from .world import CameraRig, azimuth_bin_angles
+from .world import CameraRig, azimuth_bin_angles, cell_centers, in_fov_bins
 
 SEGMENT_NAMES = ("encoder", "pos_embed", "bev_query", "attention", "refine", "decoder")
 
@@ -159,11 +159,8 @@ def cell_features(config: "ModelConfig") -> np.ndarray:
     inverse range lives on the same scale as the rendered distance channel,
     so a cell can compare its own range against retrieved hits directly.
     """
-    h, w = config.bev_grid
     e = config.world_extent
-    ys = -e + (np.arange(h) + 0.5) * (2.0 * e / h)
-    xs = -e + (np.arange(w) + 0.5) * (2.0 * e / w)
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = cell_centers(config.bev_grid, e)
     rng = np.hypot(gx, gy)
     safe = np.maximum(rng, 1e-12)
     cb = np.where(rng > 0, gx / safe, 0.0)
@@ -290,10 +287,9 @@ class ToyBevt:
         cache_key = tuple((c.height, c.roll, c.pitch, c.yaw, c.fov_azimuth,
                            c.n_azimuth_bins) for c in rig.cameras)
         if cache_key not in self._rig_cache:
-            rays = ray_features(rig, self.config.n_azimuth_bins)
-            phis = azimuth_bin_angles(self.config.n_azimuth_bins)
-            active = np.concatenate([np.abs(phis) <= c.fov_azimuth / 2.0
-                                     for c in rig.cameras])
+            n_bins = self.config.n_azimuth_bins
+            rays = ray_features(rig, n_bins)
+            active = np.concatenate([in_fov_bins(c, n_bins) for c in rig.cameras])
             if not active.any():
                 raise ValueError("no azimuth bin falls inside any camera FoV")
             self._rig_cache[cache_key] = (rays, active)
@@ -309,13 +305,6 @@ class ToyBevt:
         return h
 
     # -- pipeline stages ----------------------------------------------------
-
-    def positional_embedding(self, rig: CameraRig) -> Tensor:
-        """Geometry tokens through the embedding MLP, (L, A, feat_dim)."""
-        rays, _ = self._rig_geometry(rig)
-        flat = self._mlp(ad.constant(rays[:, :N_POS_FEATURES]), "pos_embed")
-        return ad.reshape(flat, (len(rig), self.config.n_azimuth_bins,
-                                 self.config.feat_dim))
 
     def _pos_tokens(self, rig: CameraRig) -> Tensor:
         """Positional embedding for the active (in-FoV) bins only."""
@@ -450,16 +439,26 @@ def save_checkpoint(path, store: ParamStore, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ParamStore, ModelConfig, extras, meta)."""
+    """Read a checkpoint; returns (ParamStore, ModelConfig, extras, meta).
+
+    A file cut short or carrying bytes past its last array is a ValueError.
+    """
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<Q", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError("not a recognized checkpoint file")
+        (hlen,) = struct.unpack("<Q", prefix)
         header = json.loads(fh.read(hlen).decode("utf-8"))
         if header.get("format") != _CKPT_FORMAT:
             raise ValueError("not a recognized checkpoint file")
         arrays = {}
         for spec in header["arrays"]:
             raw = fh.read(spec["length"] * 8)
+            if len(raw) != spec["length"] * 8:
+                raise ValueError(f"checkpoint truncated in array {spec['name']!r}")
             arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if fh.read(1):
+            raise ValueError("checkpoint has trailing bytes")
     config = ModelConfig.from_dict(header["config"])
     seg_sizes = [(name, length) for name, _, length in header["segments"]]
     store = ParamStore(seg_sizes, values=arrays.pop("values"))

@@ -157,6 +157,11 @@ def azimuth_bin_angles(n_bins: int) -> np.ndarray:
     return -180.0 + (np.arange(n_bins) + 0.5) * (360.0 / n_bins)
 
 
+def in_fov_bins(cam: CameraPose, n_bins: int) -> np.ndarray:
+    """Which of the n_bins azimuth bins lie inside the camera's FoV (closed edge)."""
+    return np.abs(azimuth_bin_angles(n_bins)) <= cam.fov_azimuth / 2.0
+
+
 def wrap_angle(deg):
     """Wrap degrees into (-180, 180]."""
     wrapped = np.remainder(np.asarray(deg, dtype=np.float64) + 180.0, 360.0) - 180.0
@@ -187,10 +192,6 @@ def ray_hit(scene: Scene, bearing_deg: float):
     return best_d, best_r
 
 
-def ray_hit_distance(scene: Scene, bearing_deg: float) -> float:
-    return ray_hit(scene, bearing_deg)[0]
-
-
 def elevation_bin(elev_cam_deg: float, n_bins: int) -> int:
     lo, hi = ELEVATION_RANGE
     frac = (elev_cam_deg - lo) / (hi - lo)
@@ -209,10 +210,8 @@ def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
     views = np.zeros((len(rig), n_a, n_e, 4), dtype=np.float64)
     for ci, cam in enumerate(rig.cameras):
         phis = azimuth_bin_angles(cam.n_azimuth_bins)
-        for bi, phi in enumerate(phis):
-            if abs(phi) > cam.fov_azimuth / 2.0:
-                continue
-            bearing = float(wrap_angle(cam.yaw + phi))
+        for bi in np.flatnonzero(in_fov_bins(cam, cam.n_azimuth_bins)):
+            bearing = float(wrap_angle(cam.yaw + phis[bi]))
             d, radius = ray_hit(scene, bearing)
             if not math.isfinite(d):
                 continue
@@ -226,15 +225,24 @@ def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
     return views
 
 
-def rasterize_bev(scene: Scene, grid, extent: float) -> np.ndarray:
-    """Binary occupancy grid: cell = 1 iff its center lies inside any disc."""
+def cell_centers(grid, extent: float):
+    """(gx, gy): x and y of every BEV cell center, each shaped `grid`.
+
+    Row i -> y, column j -> x, ego at the grid center; the rasterizer, the
+    FoV mask and the model's query-cell features all share this layout.
+    """
     h, w = grid
-    if h < 4 or w < 4:
-        raise ValueError("grid dims must be >= 4")
     ys = -extent + (np.arange(h) + 0.5) * (2.0 * extent / h)
     xs = -extent + (np.arange(w) + 0.5) * (2.0 * extent / w)
-    gx, gy = np.meshgrid(xs, ys)   # row i -> y, column j -> x
-    out = np.zeros((h, w), dtype=np.float64)
+    return np.meshgrid(xs, ys)
+
+
+def rasterize_bev(scene: Scene, grid, extent: float) -> np.ndarray:
+    """Binary occupancy grid: cell = 1 iff its center lies inside any disc."""
+    if grid[0] < 4 or grid[1] < 4:
+        raise ValueError("grid dims must be >= 4")
+    gx, gy = cell_centers(grid, extent)
+    out = np.zeros(gx.shape, dtype=np.float64)
     for ox, oy, r in scene.objects:
         out[(gx - ox) ** 2 + (gy - oy) ** 2 <= r * r] = 1.0
     return out

@@ -238,6 +238,21 @@ class TestCli:
         assert (tmp_path / "xe" / "cross_eval.csv").read_bytes() == \
             (out / "cross_eval.csv").read_bytes()
 
+    def test_cross_eval_missing_private_slice_fails(self, tmp_path, capsys):
+        from camfed.model import load_checkpoint, save_checkpoint
+        out = tmp_path / "run"
+        run_experiment(tiny_config(), out)
+        store, config, extras, meta = load_checkpoint(out / "checkpoint.bin")
+        del extras["private:1"]
+        save_checkpoint(tmp_path / "partial.bin", store, config,
+                        extra_arrays=extras, meta=meta)
+        code = cli_main(["cross-eval", "--checkpoint",
+                         str(tmp_path / "partial.bin"),
+                         "--out", str(tmp_path / "xe")])
+        assert code == 1
+        assert "private:1" in capsys.readouterr().err
+        assert not (tmp_path / "xe" / "cross_eval.csv").exists()
+
     def test_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         tiny_config(rounds=2).save_json(cfg_path)

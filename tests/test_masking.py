@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from camfed.masking import FovWedge, amcm_mask, apply_mask, wedges_from_rig
-from camfed.world import CameraPose, CameraRig, rig_from_preset, wrap_angle
+from camfed.masking import amcm_mask, apply_mask
+from camfed.world import (CameraPose, CameraRig, cell_centers, rig_from_preset,
+                          wrap_angle)
 
 
 def oracle_mask(rig, grid, extent, max_range):
@@ -82,15 +83,15 @@ class TestAmcmMask:
             assert np.all(cur >= prev)
             prev = cur
 
-    def test_wedge_validation(self):
-        with pytest.raises(ValueError):
-            FovWedge(yaw_center=0.0, half_angle=0.0, max_range=5.0)
-
-    def test_wedges_from_rig(self):
-        rig = rig_from_preset("bus")
-        wedges = wedges_from_rig(rig, 12.0)
-        assert [w.yaw_center for w in wedges] == [0.0, 100.0, -100.0, 180.0]
-        assert all(w.half_angle == 50.0 for w in wedges)
+    def test_bus_wedges_are_camera_yaw_and_half_fov(self):
+        # each bus camera's wedge is centred on its yaw, 50 degrees each side
+        gx, gy = cell_centers((16, 16), 16.0)
+        bearing = np.degrees(np.arctan2(gy, gx))
+        for cam_id, yaw in zip((1, 2, 3, 4), (0.0, 100.0, -100.0, 180.0)):
+            mask = amcm_mask(rig_from_preset("bus", camera_ids=[cam_id]),
+                             (16, 16), extent=16.0)
+            expected = np.abs(wrap_angle(bearing - yaw)) <= 50.0
+            np.testing.assert_array_equal(mask == 1.0, expected)
 
 
 class TestApplyMask:

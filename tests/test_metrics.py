@@ -3,9 +3,10 @@ import pytest
 
 from camfed.autodiff import EmptySupportError
 from camfed.federation import ClientState, EngineOptions, FederationEngine
+from camfed.masking import amcm_mask
 from camfed.metrics import (convergence_diagnostic, cross_evaluate, iou,
-                            rounds_to_target)
-from camfed.model import ModelConfig, PartitionPolicy
+                            mean_iou, rounds_to_target)
+from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
 from camfed.world import build_client_dataset, rig_from_preset
 
 BIG = 20.0   # logit that saturates sigmoid
@@ -61,6 +62,33 @@ class TestIou:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             iou(np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3)))
+
+
+class TestMeanIou:
+    CFG = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
+                      decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2)
+
+    @pytest.mark.parametrize("cameras", [[1], [1, 2, 3, 4]])
+    def test_chunked_equals_one_forward_per_point(self, cameras):
+        # 17 points cross the 16-point chunk boundary
+        rig = rig_from_preset("car", camera_ids=cameras, n_azimuth_bins=12,
+                              n_elevation_bins=2)
+        points = build_client_dataset(rig, 17, seed=3, grid=(8, 8)).points
+        mask = amcm_mask(rig, (8, 8), 16.0)
+        model = ToyBevt(self.CFG, seed=4)
+        # centre the decoder bias so predictions mix positives and negatives
+        sl, _ = model._offsets["decoder.b2"]
+        model.params.values[sl] -= np.median(
+            model.forward(points[0].views, rig, mask).data)
+        single = [iou(model.forward(p.views, rig, mask).data, p.bev_gt, mask)
+                  for p in points]
+        assert len(set(single)) > 1
+        assert mean_iou(model, rig, mask, points) == float(np.mean(single))
+
+    def test_no_points_is_nan(self):
+        rig = rig_from_preset("car", n_azimuth_bins=12, n_elevation_bins=2)
+        model = ToyBevt(self.CFG, seed=4)
+        assert np.isnan(mean_iou(model, rig, np.ones((8, 8)), []))
 
 
 class TestConvergenceDiagnostic:
@@ -162,3 +190,15 @@ class TestCrossEvaluate:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "testset,model_0,model_1"
         assert len(lines) == 3
+        cells = [c for line in lines[1:] for c in line.split(",")[1:]]
+        assert not any(c.startswith("np.") for c in cells)
+        np.testing.assert_array_equal([float(c) for c in cells],
+                                      m.values.ravel())
+
+    def test_takes_engine_clients(self):
+        eng = self.tiny_engine([5, 6])
+        m = cross_evaluate(eng.config,
+                           [(s.name, s.length) for s in eng.store.segments],
+                           eng.store.values, eng.private_idx, eng.clients)
+        assert m.client_ids == [0, 1]
+        assert m.values[1, 1] == eng.evaluate_client(eng.clients[1])

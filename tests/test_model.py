@@ -243,12 +243,6 @@ class TestForward:
         assert changed.size > 0
         assert np.all(np.isin(changed, store.indices(["pos_embed"])))
 
-    def test_positional_embedding_shape(self):
-        rig = small_rig(2)
-        model = ToyBevt(SMALL, seed=8)
-        z = model.positional_embedding(rig)
-        assert z.shape == (2, SMALL.n_azimuth_bins, SMALL.feat_dim)
-
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -272,5 +266,17 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:-400], lambda blob: blob[:-1],
+        lambda blob: blob + b"\0", lambda blob: blob[:5]],
+        ids=["cut-400", "cut-1", "extra-byte", "no-header"])
+    def test_wrong_length_rejected(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(SMALL, seed=11), SMALL,
+                        extra_arrays={"private:0": np.arange(100.0)})
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError):
             load_checkpoint(path)

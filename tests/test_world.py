@@ -120,6 +120,14 @@ class TestRenderViews:
         outside = np.abs(phis) > 45.0
         assert np.all(views[0, outside] == 0.0)
 
+    def test_in_fov_bins_closed_edge(self):
+        # 24 bins have centers at +-7.5, +-22.5, +-37.5, ...; a 75 degree
+        # FoV keeps the bins exactly on its +-37.5 edge
+        cam = CameraPose(height=2.0, fov_azimuth=75.0)
+        keep = world.in_fov_bins(cam, 24)
+        np.testing.assert_array_equal(np.abs(azimuth_bin_angles(24))[keep],
+                                      [37.5, 22.5, 7.5, 7.5, 22.5, 37.5])
+
     def test_pose_sensitivity_car_vs_truck(self):
         # objects placed on bin-center bearings so hits are guaranteed
         scene = Scene(objects=((6.0, 0.0, 1.2), (-4.0, 4.0, 1.0),
