@@ -9,6 +9,13 @@ straggler simulation, evaluation metrics, and an experiment harness with
 use-case presets.
 """
 
+import os
+
+# Single-threaded BLAS: the model's matrices are far too small for thread
+# fan-out to pay off. Must happen before numpy loads, so before any import.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .model import ModelConfig, PartitionPolicy, ToyBevt

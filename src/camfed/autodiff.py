@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Ops build an implicit tape: every Tensor records its parents and a backward
-closure, and carries a monotonically increasing creation id. Since an op can
-only consume already-created tensors, creation order is a topological order
-of the graph, and `Tensor.backward` simply walks nodes in descending creation
-id. There is no graph optimization; the models this engine serves are tiny.
+Ops build an implicit tape: every Tensor that needs a gradient records its
+parents and a backward closure, and carries a monotonically increasing
+creation id. Since an op can only consume already-created tensors, creation
+order is a topological order of the graph, and `Tensor.backward` simply walks
+nodes in descending creation id. An op whose inputs are all constants keeps
+neither, so a forward over constants builds no tape and each intermediate is
+freed once the next op has consumed it. There is no graph optimization; the
+models this engine serves are tiny.
 
 All arithmetic is float64. Ops are pure: running the same graph twice on the
 same inputs yields bit-identical outputs.
@@ -44,12 +47,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_nid")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, _parents=()):
         self.data = _as_f64(data)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = None
         self._nid = next(_NODE_COUNTER)
 
     @property
@@ -62,6 +65,12 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
+
+    def _attach(self, backward) -> "Tensor":
+        """Give an op's output its backward closure, if a gradient flows."""
+        if self.requires_grad:
+            self._backward = backward
+        return self
 
     def _accum(self, g: np.ndarray) -> None:
         # grads are never mutated in place anywhere, so aliasing g is safe
@@ -108,8 +117,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -121,8 +129,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -134,8 +141,7 @@ def scale(a: Tensor, c: float) -> Tensor:
         if a.requires_grad:
             a._accum(g * c)
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -153,8 +159,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accum(a.data.T @ g)
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -172,8 +177,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accum(g.sum(axis=0))
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -184,8 +188,7 @@ def relu(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accum(g * mask)
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -214,8 +217,7 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
             gx = (g * xhat).mean(axis=1, keepdims=True)
             a._accum(inv_std * (g - gm - xhat * gx))
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
@@ -229,8 +231,7 @@ def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
             full[lo:hi] = g
             a._accum(full)
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def add_n(tensors: list) -> Tensor:
@@ -250,8 +251,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         if a.requires_grad:
             a._accum(g.reshape(a.data.shape))
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -263,8 +263,7 @@ def mean(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accum(np.full(a.data.shape, float(g) / n))
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def tile_rows(a: Tensor, reps: int) -> Tensor:
@@ -278,8 +277,7 @@ def tile_rows(a: Tensor, reps: int) -> Tensor:
         if a.requires_grad:
             a._accum(g.reshape(reps, n, -1).sum(axis=0))
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)
 
 
 def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
@@ -337,8 +335,7 @@ def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
             gk = gs.transpose(0, 1, 3, 2) @ q4                      # (B,H,nk,dh)
             kp._accum(gk.transpose(0, 2, 1, 3).reshape(batch * n_k, f))
 
-    result._backward = bwd
-    return result
+    return result._attach(bwd)
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -364,5 +361,4 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Te
         if logits.requires_grad:
             logits._accum(float(g) * (_sigmoid(z) - t) * m / count)
 
-    out._backward = bwd
-    return out
+    return out._attach(bwd)

@@ -10,16 +10,10 @@ Subcommands:
 Set CAMFED_LOG_LEVEL (DEBUG/INFO/WARNING) to control verbosity.
 """
 
-import os
-
-# Single-threaded BLAS: the model's matrices are far too small for thread
-# fan-out to pay off. Must happen before numpy loads.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import json
 import logging
+import os
 import sys
 
 from .experiments import (DEFAULT_SCALE, PRESET_NAMES, SWEEPABLE,

@@ -72,6 +72,14 @@ class ExperimentConfig:
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
 
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.warmup_rounds < 0:
+            raise ValueError("warmup_rounds must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["clients"] = [c.to_dict() for c in self.clients]
@@ -165,7 +173,23 @@ PRESET_NAMES = ("uc1", "uc2", "uc3", "uc4", "uc5")
 
 def build_engine(config: ExperimentConfig,
                  keep_deltas: bool = False) -> FederationEngine:
-    """Materialize datasets and client states, returning a ready engine."""
+    """Materialize datasets and client states, returning a ready engine.
+
+    The engine options and the network profile are built first, so that
+    they reject bad settings before any dataset is generated.
+    """
+    options = EngineOptions(
+        optimizer=config.optimizer, lr_u=config.lr_u, lr_v=config.lr_v,
+        warmup_rounds=config.warmup_rounds,
+        weight_normalization=config.weight_normalization,
+        two_pass_updates=config.two_pass_updates,
+        persist_optimizer_state=config.persist_optimizer_state,
+        count_masked_query_cells=config.count_masked_query_cells,
+        topk_retention=config.topk_retention, select_m=config.select_m,
+        use_amcm=config.amcm)
+    network = NetworkProfile(straggler_ratio=config.straggler_ratio,
+                             mode=config.straggler_mode,
+                             bits_budget=config.bits_budget)
     mc = config.model
     clients = []
     for idx, spec in enumerate(config.clients):
@@ -181,18 +205,6 @@ def build_engine(config: ExperimentConfig,
             client_id=idx, rig=rig, dataset=dataset, n_points=spec.n_points,
             seed=seed, local_epochs=spec.local_epochs,
             batch_size=config.batch_size))
-    options = EngineOptions(
-        optimizer=config.optimizer, lr_u=config.lr_u, lr_v=config.lr_v,
-        warmup_rounds=config.warmup_rounds,
-        weight_normalization=config.weight_normalization,
-        two_pass_updates=config.two_pass_updates,
-        persist_optimizer_state=config.persist_optimizer_state,
-        count_masked_query_cells=config.count_masked_query_cells,
-        topk_retention=config.topk_retention, select_m=config.select_m,
-        use_amcm=config.amcm)
-    network = NetworkProfile(straggler_ratio=config.straggler_ratio,
-                             mode=config.straggler_mode,
-                             bits_budget=config.bits_budget)
     return FederationEngine(mc, PartitionPolicy.from_scheme(config.scheme),
                             clients, total_rounds=config.rounds,
                             master_seed=config.seed, options=options,
@@ -258,9 +270,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
 
     Returns (engine, report dict).
     """
+    engine = build_engine(config)      # rejects bad settings before any write
     os.makedirs(out_dir, exist_ok=True)
     config.save_json(os.path.join(out_dir, "config.json"))
-    engine = build_engine(config)
 
     def checkpoint_hook(eng):
         every = config.checkpoint_every

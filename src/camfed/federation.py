@@ -194,6 +194,8 @@ class EngineOptions:
     def __post_init__(self):
         if self.optimizer not in ("adamw", "sgd"):
             raise ValueError("optimizer must be 'adamw' or 'sgd'")
+        if not (0.0 < self.topk_retention <= 1.0):
+            raise ValueError("topk_retention must be in (0, 1]")
 
 
 class FederationEngine:

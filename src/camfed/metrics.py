@@ -36,15 +36,17 @@ def iou(pred_logits: np.ndarray, gt: np.ndarray, mask: np.ndarray,
 def mean_iou(model: ToyBevt, rig, mask: np.ndarray, points: list) -> float:
     """Mean IoU of `model` over data points of one rig; nan without points.
 
-    Points run through forward_batch 16 at a time, which bounds the graph
-    size without changing any point's score.
+    The parameters enter as constants, so no gradient tape is built. Points
+    run through forward_batch 16 at a time, which bounds the size of each
+    forward's arrays without changing any point's score.
     """
     scores = []
-    for lo in range(0, len(points), 16):
-        chunk = points[lo:lo + 16]
-        logits = model.forward_batch([p.views for p in chunk], rig, mask)
-        scores.extend(iou(lg.data, p.bev_gt, mask)
-                      for lg, p in zip(logits, chunk))
+    with model._constants():
+        for lo in range(0, len(points), 16):
+            chunk = points[lo:lo + 16]
+            logits = model.forward_batch([p.views for p in chunk], rig, mask)
+            scores.extend(iou(lg.data, p.bev_gt, mask)
+                          for lg, p in zip(logits, chunk))
     return float(np.mean(scores)) if scores else float("nan")
 
 
@@ -79,14 +81,22 @@ def cross_evaluate(config: ModelConfig, segment_sizes: list,
     `clients` are the engine's ClientStates. Entry (i, j) couples model j's
     private slice with testset i's rig geometry and mask: a model visiting a
     foreign rig keeps its own personalization, which is exactly the mismatch
-    being measured.
+    being measured. Column j depends on nothing else of client j, so a
+    column whose private slice equals an earlier one's (every column under
+    fedavg) is a copy of that column.
     """
     if not clients:
         raise ValueError("cross_evaluate needs at least one client")
     if len({c.mask.shape for c in clients}) != 1:
         raise ValueError("testset grids have incompatible shapes")
     values = np.zeros((len(clients), len(clients)))
+    first_column = {}
     for j, owner in enumerate(clients):
+        key = owner.private_values.tobytes()
+        if key in first_column:
+            values[:, j] = values[:, first_column[key]]
+            continue
+        first_column[key] = j
         full = base_values.copy()
         full[private_idx] = owner.private_values
         model = ToyBevt(config, ParamStore(segment_sizes, values=full))

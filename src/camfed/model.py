@@ -19,6 +19,7 @@ views is folded into the token channel dimension.
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,7 +244,8 @@ class ToyBevt:
     forward() builds a fresh graph whose leaves wrap the store's current
     values; backward() scatters leaf gradients back into store.grads and,
     when a mask is given, zeroes the query-grid gradient rows of inactive
-    cells.
+    cells. Inside `_constants()` the values enter as constants instead, so
+    a forward builds no graph and records no leaves.
     """
 
     def __init__(self, config: ModelConfig, params: ParamStore | None = None,
@@ -266,6 +268,7 @@ class ToyBevt:
                 self._offsets[key] = (slice(offset, offset + size), shape)
                 offset += size
         self._leaves = []
+        self._tape = True
         self._rig_cache = {}
         self._cell_features = cell_features(config)
 
@@ -273,9 +276,21 @@ class ToyBevt:
 
     def _leaf(self, key: str) -> Tensor:
         sl, shape = self._offsets[key]
-        t = Tensor(self.params.values[sl].reshape(shape), requires_grad=True)
+        values = self.params.values[sl].reshape(shape)
+        if not self._tape:
+            return ad.constant(values)
+        t = Tensor(values, requires_grad=True)
         self._leaves.append((sl, t))
         return t
+
+    @contextmanager
+    def _constants(self):
+        """Forwards inside the block take the parameters as constants."""
+        self._tape = False
+        try:
+            yield
+        finally:
+            self._tape = True
 
     def _rig_geometry(self, rig: CameraRig):
         """(ray features, active-bin mask) for a rig, cached.

@@ -25,6 +25,8 @@ class NetworkProfile:
             raise ValueError("straggler_ratio must be in [0, 1)")
         if self.mode not in ("iid", "persistent"):
             raise ValueError("mode must be 'iid' or 'persistent'")
+        if not all(0.0 <= p <= 1.0 for p in self.overrides.values()):
+            raise ValueError("override drop probabilities must be in [0, 1]")
 
 
 def sample_stragglers(selected, ratio: float, rng: np.random.Generator):

@@ -311,3 +311,25 @@ class TestGraphBehavior:
                                             np.ones((5, 5))))
         for op in ops:
             assert np.isfinite(op(x).data).all()
+
+    def test_ops_over_constants_keep_no_graph(self):
+        rng = np.random.default_rng(19)
+        x = ad.constant(rng.standard_normal((4, 4)))
+        w = ad.constant(rng.standard_normal((4, 4)))
+        b = ad.constant(rng.standard_normal(4))
+        ones = np.ones((4, 4))
+        outs = [ad.add(x, w), ad.mul(x, w), ad.scale(x, 2.0), ad.matmul(x, w),
+                ad.affine(x, w, b), ad.relu(x), ad.layer_norm(x),
+                ad.slice_rows(x, 1, 3), ad.reshape(x, (2, 8)), ad.mean(x),
+                ad.tile_rows(x, 2), ad.add_n([x, w, x]),
+                ad.batched_cross_attention(x, w, w, n_heads=2, batch=2),
+                ad.bce_with_logits(x, ones, ones)]
+        for out in outs:
+            assert out.requires_grad is False
+            assert out._parents == ()
+            assert out._backward is None
+        # one input that needs a gradient brings the graph back
+        leaf = Tensor(w.data, requires_grad=True)
+        out = ad.matmul(x, leaf)
+        assert out.requires_grad and out._parents == (x, leaf)
+        assert out._backward is not None

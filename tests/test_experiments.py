@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from camfed import experiments
 from camfed.cli import main as cli_main
 from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
                                 preset, run_experiment, sweep)
@@ -87,6 +88,26 @@ class TestConfigValidation:
     def test_empty_clients_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"clients": []})
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0)])
+    def test_out_of_range_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+
+    def test_bounds_accepted(self):
+        cfg = tiny_config(rounds=1, warmup_rounds=0, batch_size=1)
+        assert (cfg.rounds, cfg.warmup_rounds, cfg.batch_size) == (1, 0, 1)
+
+    @pytest.mark.parametrize("retention", [1.5, -0.2])
+    def test_bad_retention_fails_before_any_dataset(self, retention,
+                                                    monkeypatch):
+        built = []
+        monkeypatch.setattr(experiments, "build_client_dataset",
+                            lambda *a, **k: built.append(a))
+        with pytest.raises(ValueError, match="topk_retention"):
+            build_engine(tiny_config(topk_retention=retention))
+        assert built == []
 
 
 class TestRunExperiment:
@@ -261,6 +282,20 @@ class TestCli:
                          "--out", str(tmp_path / "sw")])
         assert code == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
+        ("topk_retention", 1.5), ("topk_retention", -0.2)])
+    def test_out_of_range_setting_exits_1_without_artifacts(
+            self, field, value, tmp_path, capsys):
+        doc = tiny_config().to_dict() | {field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -357,6 +357,15 @@ class TestRunRound:
 
 
 class TestEngineOptions:
+    @pytest.mark.parametrize("retention", [1.5, -0.2, 0.0, float("nan")])
+    def test_topk_retention_outside_unit_interval(self, retention):
+        with pytest.raises(ValueError, match="topk_retention"):
+            EngineOptions(topk_retention=retention)
+
+    def test_topk_retention_bounds_accepted(self):
+        assert EngineOptions(topk_retention=1.0).topk_retention == 1.0
+        assert EngineOptions(topk_retention=1e-3).topk_retention == 1e-3
+
     def test_two_pass_differs_but_deterministic(self):
         def build(two_pass):
             return FederationEngine(

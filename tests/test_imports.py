@@ -1,6 +1,11 @@
-"""Every name a camfed module imports is used: a stdlib-`ast` check."""
+"""Import-time properties of camfed: every name a module imports is used
+(a stdlib-`ast` check), and BLAS is pinned to one thread before numpy loads.
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,32 @@ def test_checker_flags_unused_and_passes_used_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Prints OPENBLAS_NUM_THREADS as it stood when numpy was first imported.
+NUMPY_IMPORT_PROBE = """
+import importlib.abc, os, sys
+seen = []
+
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import camfed.cli
+print(seen)
+"""
+
+
+def test_blas_pinned_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "['1']"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from camfed import metrics
 from camfed.autodiff import EmptySupportError
 from camfed.federation import ClientState, EngineOptions, FederationEngine
 from camfed.masking import amcm_mask
 from camfed.metrics import (convergence_diagnostic, cross_evaluate, iou,
                             mean_iou, rounds_to_target)
 from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
+from camfed.params import ParamStore
 from camfed.world import build_client_dataset, rig_from_preset
 
 BIG = 20.0   # logit that saturates sigmoid
@@ -85,6 +87,18 @@ class TestMeanIou:
         assert len(set(single)) > 1
         assert mean_iou(model, rig, mask, points) == float(np.mean(single))
 
+    def test_builds_no_tape(self):
+        rig = rig_from_preset("car", n_azimuth_bins=12, n_elevation_bins=2)
+        points = build_client_dataset(rig, 20, seed=3, grid=(8, 8)).points
+        mask = amcm_mask(rig, (8, 8), 16.0)
+        model = ToyBevt(self.CFG, seed=4)
+        for _ in range(3):
+            mean_iou(model, rig, mask, points)
+            assert len(model._leaves) == 0
+        # training forwards still record their leaves afterwards
+        model.forward(points[0].views, rig, mask)
+        assert len(model._leaves) > 0
+
     def test_no_points_is_nan(self):
         rig = rig_from_preset("car", n_azimuth_bins=12, n_elevation_bins=2)
         model = ToyBevt(self.CFG, seed=4)
@@ -146,7 +160,7 @@ class TestRoundsToTarget:
 
 class TestCrossEvaluate:
     @staticmethod
-    def tiny_engine(seeds, rounds=2):
+    def tiny_engine(seeds, rounds=2, scheme="fedcap"):
         cfg = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2,
                           encoder_hidden=8, decoder_hidden=8,
                           n_azimuth_bins=12, n_elevation_bins=2)
@@ -156,7 +170,7 @@ class TestCrossEvaluate:
             ds = build_client_dataset(rig, 6, seed=seed, grid=(8, 8))
             clients.append(ClientState(client_id=i, rig=rig, dataset=ds,
                                        n_points=6, seed=seed))
-        eng = FederationEngine(cfg, PartitionPolicy.from_scheme("fedcap"),
+        eng = FederationEngine(cfg, PartitionPolicy.from_scheme(scheme),
                                clients, total_rounds=rounds, master_seed=2,
                                options=EngineOptions(lr_u=1e-2, lr_v=1e-2))
         eng.run()
@@ -202,3 +216,37 @@ class TestCrossEvaluate:
                            eng.store.values, eng.private_idx, eng.clients)
         assert m.client_ids == [0, 1]
         assert m.values[1, 1] == eng.evaluate_client(eng.clients[1])
+
+    @staticmethod
+    def per_pair_matrix(engine):
+        """One mean_iou per (model, testset) pair, nothing shared."""
+        segments = [(s.name, s.length) for s in engine.store.segments]
+        n = len(engine.clients)
+        out = np.zeros((n, n))
+        for j, owner in enumerate(engine.clients):
+            for i, data in enumerate(engine.clients):
+                model = ToyBevt(engine.config, ParamStore(
+                    segments, values=engine.personalized_values(owner)))
+                out[i, j] = mean_iou(model, data.rig, data.mask,
+                                     data.dataset.test)
+        return out
+
+    @pytest.mark.parametrize("scheme, distinct", [("fedcap", 3), ("fedavg", 1)])
+    def test_one_column_per_distinct_private_slice(self, scheme, distinct,
+                                                   monkeypatch):
+        eng = self.tiny_engine([5, 6, 7], scheme=scheme)
+        slices = {c.private_values.tobytes() for c in eng.clients}
+        assert len(slices) == distinct
+        calls = []
+
+        def counting_mean_iou(*args):
+            calls.append(args)
+            return mean_iou(*args)
+
+        monkeypatch.setattr(metrics, "mean_iou", counting_mean_iou)
+        m = self.matrix_of(eng)
+        assert len(calls) == 3 * distinct
+        np.testing.assert_array_equal(m.values, self.per_pair_matrix(eng))
+        if distinct == 1:
+            assert (m.values == m.values[:, :1]).all()
+

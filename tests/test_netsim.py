@@ -76,6 +76,14 @@ class TestStragglerPlan:
         with pytest.raises(ValueError):
             NetworkProfile(mode="sometimes")
 
+    @pytest.mark.parametrize("p", [7.5, -0.1, float("nan")])
+    def test_override_probability_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="override"):
+            NetworkProfile(overrides={0: 0.5, 1: p})
+
+    def test_override_probability_bounds_accepted(self):
+        NetworkProfile(overrides={0: 0.0, 1: 1.0})
+
 
 class TestCommLedger:
     def test_zero_bits_no_change(self):
