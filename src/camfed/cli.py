@@ -127,12 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> int:
+    name = os.environ.get("CAMFED_LOG_LEVEL", "WARNING")
+    level = logging.getLevelNamesMapping().get(name.upper())
+    if level is None:
+        raise ValueError(f"unknown CAMFED_LOG_LEVEL {name!r}")
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CAMFED_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level(),
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

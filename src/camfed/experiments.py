@@ -13,6 +13,7 @@ round, so it repeats across a round's rows.
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -63,22 +64,35 @@ class ExperimentConfig:
     straggler_mode: str = "iid"
     amcm: bool = True
     optimizer: str = "adamw"
-    weight_normalization: str = "selected"
-    two_pass_updates: bool = False
-    persist_optimizer_state: bool = False
-    count_masked_query_cells: bool = True
     bits_budget: int | None = None
     checkpoint_every: int | None = None
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject out-of-range settings.
+
+        Runs at construction and again in `build_engine`, so a field set
+        after construction is checked before any dataset is built.
+        """
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.warmup_rounds < 0:
             raise ValueError("warmup_rounds must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.select_m is not None and not (
+                1 <= self.select_m <= len(self.clients)):
+            raise ValueError(f"select_m must be in 1..{len(self.clients)} "
+                             f"(the number of clients), got {self.select_m}")
+        for idx, spec in enumerate(self.clients):
+            if spec.local_epochs < 1:
+                raise ValueError(f"client {idx}: local_epochs must be >= 1")
+            if spec.n_points < 2:
+                raise ValueError(f"client {idx}: n_points must be >= 2")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -120,6 +134,8 @@ class ExperimentConfig:
 
 def scaled(n_full: int, scale: float) -> int:
     """A full-scale dataset size divided by `scale`, rounded, at least 2."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     return max(2, round(n_full / scale))
 
 
@@ -175,16 +191,14 @@ def build_engine(config: ExperimentConfig,
                  keep_deltas: bool = False) -> FederationEngine:
     """Materialize datasets and client states, returning a ready engine.
 
-    The engine options and the network profile are built first, so that
-    they reject bad settings before any dataset is generated.
+    The config is validated again and the engine options and the network
+    profile are built first, so that bad settings, including fields set
+    after construction, are rejected before any dataset is generated.
     """
+    config.validate()
     options = EngineOptions(
         optimizer=config.optimizer, lr_u=config.lr_u, lr_v=config.lr_v,
         warmup_rounds=config.warmup_rounds,
-        weight_normalization=config.weight_normalization,
-        two_pass_updates=config.two_pass_updates,
-        persist_optimizer_state=config.persist_optimizer_state,
-        count_masked_query_cells=config.count_masked_query_cells,
         topk_retention=config.topk_retention, select_m=config.select_m,
         use_amcm=config.amcm)
     network = NetworkProfile(straggler_ratio=config.straggler_ratio,

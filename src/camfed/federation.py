@@ -3,7 +3,7 @@ aggregation, client selection, top-k compression and straggler handling.
 
 One round = broadcast the shared slice -> selected clients train locally
 (two learning rates over the private/public split, from a single backward
-pass by default) -> upload compressed deltas -> drop stragglers -> weighted
+pass per batch) -> upload compressed deltas -> drop stragglers -> weighted
 aggregation of survivors. A client's private slice never leaves the client:
 deltas carry flat public indices only, which makes that auditable.
 
@@ -102,41 +102,25 @@ def lr_schedule(round_no: int, base_lr: float, warmup_rounds: int,
     return base_lr * (1.0 + math.cos(math.pi * progress)) / 2.0
 
 
-def aggregate(entries, base_values: np.ndarray, public_idx: np.ndarray,
-              normalization: str = "selected",
-              total_weight: float | None = None) -> np.ndarray:
+def aggregate(entries, base_values: np.ndarray,
+              public_idx: np.ndarray) -> np.ndarray:
     """Weighted-mean update of the shared slice from client deltas.
 
     entries: (client_id, Delta, weight) triples; summation runs in client-id
-    order so results do not depend on arrival order. With
-    normalization="selected", weights are divided by the selected subset's
-    weight sum, which leaves the base point fixed when all deltas vanish.
-    normalization="all_clients" divides by `total_weight` (the whole
-    registry) and scales the base shared slice by the participating weight
-    fraction, i.e. a literal subset-weighted average of the client
-    parameter vectors; with partial participation that average is pulled
-    toward zero, which is why it is not the default.
+    order so results do not depend on arrival order. Weights are divided by
+    the survivors' weight sum, which leaves the base point fixed when all
+    deltas vanish.
     """
     if not entries:
         raise ValueError("aggregate needs at least one delta")
     if any(w <= 0 for _, _, w in entries):
         raise ValueError("aggregation weights must be positive")
     entries = sorted(entries, key=lambda e: e[0])
-    selected_weight = float(sum(w for _, _, w in entries))
-    if normalization == "selected":
-        denom = selected_weight
-    elif normalization == "all_clients":
-        if total_weight is None:
-            raise ValueError("total_weight required for all_clients mode")
-        denom = float(total_weight)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    denom = float(sum(w for _, _, w in entries))
     acc = np.zeros_like(base_values)
     for _, delta, weight in entries:
         acc[delta.indices] += (weight / denom) * delta.values
     out = base_values.copy()
-    if normalization == "all_clients":
-        out[public_idx] *= selected_weight / denom
     out[public_idx] += acc[public_idx]
     return out
 
@@ -152,8 +136,6 @@ class ClientState:
     batch_size: int = 4
     private_values: np.ndarray | None = None
     mask: np.ndarray | None = None
-    optimizer: AdamW | None = None
-    first_selected_round: int | None = None
 
     def __post_init__(self):
         if self.local_epochs < 1 or self.batch_size < 1:
@@ -180,15 +162,8 @@ class EngineOptions:
     lr_u: float = 5e-3
     lr_v: float = 5e-3
     warmup_rounds: int = 0
-    weight_normalization: str = "selected"   # "selected" | "all_clients"
-    two_pass_updates: bool = False
-    persist_optimizer_state: bool = False
-    count_masked_query_cells: bool = True
     topk_retention: float = 1.0
     select_m: int | None = None
-    adam_betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
     use_amcm: bool = True
 
     def __post_init__(self):
@@ -242,49 +217,11 @@ class FederationEngine:
                           if self.options.use_amcm
                           else np.ones(model_config.bev_grid))
 
-    # -- per-client bit accounting -------------------------------------------
-
-    def _masked_query_param_idx(self, client: ClientState) -> np.ndarray:
-        """Flat indices of bev_query rows whose cells are masked off."""
-        off_cells = np.nonzero(client.mask.ravel() == 0.0)[0]
-        if off_cells.size == 0:
-            return np.empty(0, dtype=np.int64)
-        base = self.store.slice_of("bev_query").start
-        f = self.config.feat_dim
-        return (base + (off_cells[:, None] * f +
-                        np.arange(f)[None, :]).ravel()).astype(np.int64)
-
-    def _bits_down(self, client: ClientState) -> int:
-        n = self.public_idx.size
-        if not self.options.count_masked_query_cells:
-            n -= self._masked_query_param_idx(client).size
-        return VALUE_BITS * int(n)
-
-    def _bits_up(self, client: ClientState, delta: Delta) -> int:
-        if self.options.count_masked_query_cells:
-            return delta.bits_upload
-        excluded = self._masked_query_param_idx(client)
-        counted = int(np.sum(~np.isin(delta.indices, excluded)))
-        per_entry = VALUE_BITS + (0 if delta.dense else INDEX_BITS)
-        return counted * per_entry
-
     # -- local training -------------------------------------------------------
 
     def _build_local_store(self, client: ClientState) -> ParamStore:
         return ParamStore([(s.name, s.length) for s in self.store.segments],
                           values=self.personalized_values(client))
-
-    def _make_optimizer(self, client: ClientState) -> AdamW | None:
-        if self.options.optimizer != "adamw":
-            return None
-        if self.options.persist_optimizer_state and client.optimizer is not None:
-            return client.optimizer
-        opt = AdamW(self.store.n, betas=self.options.adam_betas,
-                    eps=self.options.adam_eps,
-                    weight_decay=self.options.weight_decay)
-        if self.options.persist_optimizer_state:
-            client.optimizer = opt
-        return opt
 
     def _step(self, local: ParamStore, opt: AdamW | None, lr: float,
               idx: np.ndarray) -> None:
@@ -310,16 +247,15 @@ class FederationEngine:
                      round_no: int):
         """One client's epochs for the round; returns (Delta, loss, grad_norm).
 
-        The two-stage update applies lr_v to the private slice and lr_u to
-        the public slice. By default both stages share one backward pass;
-        with two_pass_updates the gradient is recomputed after the private
-        stage.
+        Each batch's single backward pass feeds an lr_v step on the private
+        slice, then an lr_u step on the public slice. The optimizer state
+        starts fresh every round.
         """
         if len(client.dataset.train) == 0:
             raise ValueError("empty dataset")
         local = self._build_local_store(client)
         model = ToyBevt(self.config, local)
-        opt = self._make_optimizer(client)
+        opt = AdamW(self.store.n) if self.options.optimizer == "adamw" else None
         rng = derive_rng(self.master_seed, "batch", round_no, client.seed)
         train = client.dataset.train
         losses, grad_norms = [], []
@@ -333,8 +269,6 @@ class FederationEngine:
                 losses.append(loss)
                 grad_norms.append(float(np.linalg.norm(local.grads)))
                 self._step(local, opt, lr_v, self.private_idx)
-                if self.options.two_pass_updates:
-                    self._batch_backward(model, client, batch)
                 self._step(local, opt, lr_u, self.public_idx)
         diff = local.values[self.public_idx] - self.store.values[self.public_idx]
         client.private_values = local.values[self.private_idx].copy()
@@ -370,9 +304,6 @@ class FederationEngine:
                                                        "select", t))
         selected_set = set(selected)
         by_id = {c.client_id: c for c in self.clients}
-        for cid in selected:
-            if by_id[cid].first_selected_round is None:
-                by_id[cid].first_selected_round = t
 
         def work(cid):
             try:
@@ -411,18 +342,17 @@ class FederationEngine:
             self.delta_log.extend((t, cid, d) for cid, d, _ in entries)
 
         if entries:
-            self.store.values = aggregate(
-                entries, self.store.values, self.public_idx,
-                normalization=opts.weight_normalization,
-                total_weight=float(sum(c.n_points for c in self.clients)))
+            self.store.values = aggregate(entries, self.store.values,
+                                          self.public_idx)
 
+        bits_down_each = VALUE_BITS * int(self.public_idx.size)
         records = []
         for c in self.clients:
             cid = c.client_id
             sel = cid in selected_set
-            bits_down = self._bits_down(c) if sel else 0
+            bits_down = bits_down_each if sel else 0
             is_straggler = sel and cid not in survivor_set and cid not in aborted
-            bits_up = (self._bits_up(c, deltas[cid])
+            bits_up = (deltas[cid].bits_upload
                        if sel and cid in survivor_set else 0)
             if sel:
                 self.ledger.account(t, cid, bits_up, bits_down)

@@ -2,7 +2,7 @@
 
 Both update rules accept an optional flat-index subset so the two-rate local
 update (one rate for the shared slice, another for the private slice) can be
-applied from a single backward pass, or from two, without special casing.
+applied from a single backward pass without special casing.
 AdamW keeps a per-index step count so bias correction stays exact when
 different slices are stepped a different number of times.
 """

@@ -90,7 +90,8 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"clients": []})
 
     @pytest.mark.parametrize("field, value", [
-        ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0)])
+        ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
+        ("select_m", 3), ("select_m", 0)])
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
@@ -98,6 +99,10 @@ class TestConfigValidation:
     def test_bounds_accepted(self):
         cfg = tiny_config(rounds=1, warmup_rounds=0, batch_size=1)
         assert (cfg.rounds, cfg.warmup_rounds, cfg.batch_size) == (1, 0, 1)
+        for m in (1, 2):
+            assert tiny_config(select_m=m).select_m == m
+        spec = ClientSpec(rig="car", n_points=2, local_epochs=1)
+        assert tiny_config(clients=[spec]).clients == [spec]
 
     @pytest.mark.parametrize("retention", [1.5, -0.2])
     def test_bad_retention_fails_before_any_dataset(self, retention,
@@ -108,6 +113,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="topk_retention"):
             build_engine(tiny_config(topk_retention=retention))
         assert built == []
+
+    @pytest.mark.parametrize("key, value", [("local_epochs", 0),
+                                            ("n_points", 1)])
+    def test_client_sizes_rejected(self, key, value):
+        spec = ClientSpec(rig="car", n_points=6)
+        setattr(spec, key, value)
+        with pytest.raises(ValueError, match=key):
+            tiny_config(clients=[spec])
+
+    @pytest.mark.parametrize("key, value", [
+        ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
+        ("select_m", 3), ("select_m", 0), ("local_epochs", 0),
+        ("n_points", 1)])
+    def test_field_set_after_construction_fails_before_any_dataset(
+            self, key, value, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiments, "build_client_dataset",
+                            lambda *a, **k: built.append(a))
+        cfg = tiny_config()
+        on_client = key in ("local_epochs", "n_points")
+        setattr(cfg.clients[0] if on_client else cfg, key, value)
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=key):
+            run_experiment(cfg, out)
+        assert built == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            experiments.scaled(100, scale)
 
 
 class TestRunExperiment:
@@ -154,6 +191,20 @@ class TestRunExperiment:
         cfg = tiny_config(rounds=10, bits_budget=1)
         engine, report = run_experiment(cfg, tmp_path / "run")
         assert report["rounds_completed"] == 1
+
+    def test_amcm_off_gives_all_ones_masks(self):
+        # a front-camera-only car masks cells off unless AMCM is disabled
+        clients = [ClientSpec(rig="car", n_points=6, cameras=[1]),
+                   ClientSpec(rig="bus", n_points=5)]
+        on = build_engine(tiny_config(clients=clients))
+        assert (on.clients[0].mask == 0).any()
+        engine = build_engine(tiny_config(clients=clients, amcm=False))
+        for c in engine.clients:
+            assert np.array_equal(c.mask, np.ones(engine.config.bev_grid))
+        records = engine.run_round()
+        assert [r.selected for r in records] == [True, True]
+        assert all(np.isfinite(r.train_loss) for r in records)
+        assert all(0.0 <= r.val_iou <= 1.0 for r in records)
 
     def test_config_echo_parses_back(self, tmp_path):
         cfg = tiny_config()
@@ -285,7 +336,8 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
-        ("topk_retention", 1.5), ("topk_retention", -0.2)])
+        ("topk_retention", 1.5), ("topk_retention", -0.2),
+        ("select_m", 3), ("select_m", 0)])
     def test_out_of_range_setting_exits_1_without_artifacts(
             self, field, value, tmp_path, capsys):
         doc = tiny_config().to_dict() | {field: value}
@@ -296,6 +348,47 @@ class TestCli:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("local_epochs", 0),
+                                            ("n_points", 1)])
+    def test_client_sizes_exit_1_without_artifacts(
+            self, key, value, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiments, "build_client_dataset",
+                            lambda *a, **k: built.append(a))
+        doc = tiny_config().to_dict()
+        doc["clients"][0][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "preset"])
+    def test_bad_scale_exits_1_without_traceback(self, command, scale,
+                                                 tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        tiny_config().save_json(cfg_path)
+        out = tmp_path / "o"
+        argv = {"run": ["run", "--config", str(cfg_path), "--out", str(out)],
+                "sweep": ["sweep", "--config", str(cfg_path), "--axis",
+                          "select_m", "--values", "1", "--out", str(out)],
+                "preset": ["preset", "uc1"]}[command]
+        code = cli_main(argv + ["--scale", scale])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale must be finite and > 0")
+        assert not out.exists()
+
+    def test_bad_log_level_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAMFED_LOG_LEVEL", "bogus")
+        assert cli_main(["preset", "uc1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown CAMFED_LOG_LEVEL 'bogus'\n"
+        assert captured.out == ""
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
