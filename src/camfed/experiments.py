@@ -75,8 +75,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject out-of-range settings.
 
-        Runs at construction and again in `build_engine`, so a field set
-        after construction is checked before any dataset is built.
+        Runs at construction and again in `engine_settings` (from
+        `build_engine` and `sweep`), so a field set after construction is
+        checked before any dataset is built.
         """
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -109,12 +110,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "clients" not in doc or not doc["clients"]:
             raise ValueError("config needs a non-empty 'clients' list")
-        client_known = {f.name for f in dataclasses.fields(ClientSpec)}
+        fields = dataclasses.fields(ClientSpec)
+        client_known = {f.name for f in fields}
+        required = {f.name for f in fields if f.default is dataclasses.MISSING}
         clients = []
-        for c in doc["clients"]:
-            bad = set(c) - client_known
-            if bad:
-                raise ValueError(f"unknown client keys: {sorted(bad)}")
+        for idx, c in enumerate(doc["clients"]):
+            for kind, keys in (("unknown", set(c) - client_known),
+                               ("missing", required - set(c))):
+                if keys:
+                    raise ValueError(f"client {idx}: {kind} client keys: "
+                                     f"{sorted(keys)}")
             clients.append(ClientSpec(**c))
         doc["clients"] = clients
         if "model" in doc:
@@ -187,15 +192,11 @@ PRESET_NAMES = ("uc1", "uc2", "uc3", "uc4", "uc5")
 # Building and running
 # ---------------------------------------------------------------------------
 
-def build_engine(config: ExperimentConfig,
-                 keep_deltas: bool = False) -> FederationEngine:
-    """Materialize datasets and client states, returning a ready engine.
-
-    The config is validated again and the engine options and the network
-    profile are built first, so that bad settings, including fields set
-    after construction, are rejected before any dataset is generated.
-    """
+def engine_settings(config: ExperimentConfig):
+    """Validate `config`; return its partition policy, engine options and
+    network profile, which check their own ranges. Builds no dataset."""
     config.validate()
+    policy = PartitionPolicy.from_scheme(config.scheme)
     options = EngineOptions(
         optimizer=config.optimizer, lr_u=config.lr_u, lr_v=config.lr_v,
         warmup_rounds=config.warmup_rounds,
@@ -204,6 +205,16 @@ def build_engine(config: ExperimentConfig,
     network = NetworkProfile(straggler_ratio=config.straggler_ratio,
                              mode=config.straggler_mode,
                              bits_budget=config.bits_budget)
+    return policy, options, network
+
+
+def build_engine(config: ExperimentConfig,
+                 keep_deltas: bool = False) -> FederationEngine:
+    """Materialize datasets and client states, returning a ready engine.
+
+    Settings are checked first, fields set after construction included.
+    """
+    policy, options, network = engine_settings(config)
     mc = config.model
     clients = []
     for idx, spec in enumerate(config.clients):
@@ -219,8 +230,7 @@ def build_engine(config: ExperimentConfig,
             client_id=idx, rig=rig, dataset=dataset, n_points=spec.n_points,
             seed=seed, local_epochs=spec.local_epochs,
             batch_size=config.batch_size))
-    return FederationEngine(mc, PartitionPolicy.from_scheme(config.scheme),
-                            clients, total_rounds=config.rounds,
+    return FederationEngine(mc, policy, clients, total_rounds=config.rounds,
                             master_seed=config.seed, options=options,
                             network=network, keep_deltas=keep_deltas)
 
@@ -325,26 +335,30 @@ SWEEPABLE = ("local_epochs", "topk_retention", "straggler_ratio", "select_m")
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir,
           workers: int = 1) -> list:
-    """One run per axis value with derived seeds; merged summary CSV."""
+    """One run per axis value with derived seeds; merged summary CSV.
+
+    Every value's config is checked before the first run starts, so a bad
+    later value costs no training and leaves no directory behind.
+    """
     if axis not in SWEEPABLE:
         raise ValueError(f"axis must be one of {SWEEPABLE}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
+    configs = []
     for i, value in enumerate(values):
         cfg = ExperimentConfig.from_dict(config.to_dict())
         if axis == "local_epochs":
             for c in cfg.clients:
                 c.local_epochs = int(value)
-        elif axis == "select_m":
-            cfg.select_m = int(value)
-        elif axis == "topk_retention":
-            cfg.topk_retention = float(value)
         else:
-            cfg.straggler_ratio = float(value)
+            setattr(cfg, axis, (int if axis == "select_m" else float)(value))
         cfg.seed = derive_seed(config.seed, "sweep", i)
         cfg.name = f"{config.name}-{axis}-{value}"
+        engine_settings(cfg)
+        configs.append((value, cfg))
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for value, cfg in configs:
         sub = os.path.join(out_dir, f"{axis}_{value}")
         engine, report = run_experiment(cfg, sub, workers=workers)
         mean_iou = float(np.mean([c["final_iou"] for c in report["clients"]]))

@@ -2,10 +2,11 @@
 aggregation, client selection, top-k compression and straggler handling.
 
 One round = broadcast the shared slice -> selected clients train locally
-(two learning rates over the private/public split, from a single backward
-pass per batch) -> upload compressed deltas -> drop stragglers -> weighted
-aggregation of survivors. A client's private slice never leaves the client:
-deltas carry flat public indices only, which makes that auditable.
+(one optimizer step per batch: lr_u on the public slice, lr_v on the private
+slice) and return a `ClientUpdate` -> upload compressed deltas -> drop
+stragglers -> weighted aggregation of survivors. A client's private slice
+never leaves the client: deltas carry flat public indices only, which makes
+that auditable.
 
 Everything is a pure function of (configuration, master seed): every random
 draw comes from a stream keyed by round and purpose, so client-level
@@ -143,6 +144,15 @@ class ClientState:
 
 
 @dataclass
+class ClientUpdate:
+    """The result of one client's local epochs, applied by `run_round`."""
+    delta: Delta
+    private_values: np.ndarray
+    loss: float
+    grad_norm: float
+
+
+@dataclass
 class RoundRecord:
     round: int
     client_id: int
@@ -223,15 +233,6 @@ class FederationEngine:
         return ParamStore([(s.name, s.length) for s in self.store.segments],
                           values=self.personalized_values(client))
 
-    def _step(self, local: ParamStore, opt: AdamW | None, lr: float,
-              idx: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        if opt is None:
-            sgd_step(local, lr=lr, idx=idx)
-        else:
-            opt.step(local, lr=lr, idx=idx)
-
     def _batch_backward(self, model: ToyBevt, client: ClientState,
                         batch) -> float:
         model.zero_grads()
@@ -244,18 +245,23 @@ class FederationEngine:
         return total.item()
 
     def local_update(self, client: ClientState, lr_u: float, lr_v: float,
-                     round_no: int):
-        """One client's epochs for the round; returns (Delta, loss, grad_norm).
+                     round_no: int) -> ClientUpdate:
+        """One client's epochs for the round, returned as a ClientUpdate.
 
-        Each batch's single backward pass feeds an lr_v step on the private
-        slice, then an lr_u step on the public slice. The optimizer state
-        starts fresh every round.
+        Trains a copy of the client's personalized model (the engine's
+        public values with the client's private slice). Each batch's single
+        backward pass feeds one optimizer step at a per-index rate: lr_u on
+        the public slice, lr_v on the private slice. The optimizer state
+        starts fresh every round. Writes nothing to the client or the
+        engine, so clients can train in any order or in parallel.
         """
-        if len(client.dataset.train) == 0:
-            raise ValueError("empty dataset")
         local = self._build_local_store(client)
         model = ToyBevt(self.config, local)
-        opt = AdamW(self.store.n) if self.options.optimizer == "adamw" else None
+        step = (AdamW(self.store.n).step if self.options.optimizer == "adamw"
+                else sgd_step)
+        lr = np.empty(self.store.n)
+        lr[self.public_idx] = lr_u
+        lr[self.private_idx] = lr_v
         rng = derive_rng(self.master_seed, "batch", round_no, client.seed)
         train = client.dataset.train
         losses, grad_norms = [], []
@@ -268,12 +274,12 @@ class FederationEngine:
                     raise NonFiniteGradientError("non-finite training loss")
                 losses.append(loss)
                 grad_norms.append(float(np.linalg.norm(local.grads)))
-                self._step(local, opt, lr_v, self.private_idx)
-                self._step(local, opt, lr_u, self.public_idx)
+                step(local, lr)
         diff = local.values[self.public_idx] - self.store.values[self.public_idx]
-        client.private_values = local.values[self.private_idx].copy()
-        delta = dense_delta(self.public_idx, diff)
-        return delta, float(np.mean(losses)), float(np.mean(grad_norms))
+        return ClientUpdate(
+            delta=dense_delta(self.public_idx, diff),
+            private_values=local.values[self.private_idx].copy(),
+            loss=float(np.mean(losses)), grad_norm=float(np.mean(grad_norms)))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -302,38 +308,26 @@ class FederationEngine:
         m = opts.select_m if opts.select_m is not None else len(ids)
         selected = client_selection(ids, m, derive_rng(self.master_seed,
                                                        "select", t))
-        selected_set = set(selected)
         by_id = {c.client_id: c for c in self.clients}
 
-        def work(cid):
+        def train(cid):
             try:
-                return cid, self.local_update(by_id[cid], lr_u, lr_v, t), None
-            except NonFiniteGradientError as err:
-                return cid, None, err
+                return self.local_update(by_id[cid], lr_u, lr_v, t)
+            except NonFiniteGradientError:
+                return None
 
-        if workers > 1 and len(selected) > 1:
+        if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict()
-                for cid, payload, err in pool.map(work, selected):
-                    results[cid] = (payload, err)
+                updates = dict(zip(selected, pool.map(train, selected)))
         else:
-            results = {}
-            for cid in selected:
-                _, payload, err = work(cid)
-                results[cid] = (payload, err)
+            updates = dict(zip(selected, map(train, selected)))
 
-        aborted = {cid for cid, (payload, err) in results.items()
-                   if err is not None}
-        uploaders = [cid for cid in selected if cid not in aborted]
+        uploaders = [cid for cid in selected if updates[cid] is not None]
+        for cid in uploaders:           # stragglers keep their new slice too
+            by_id[cid].private_values = updates[cid].private_values
         survivors = self.straggler_plan.survivors(uploaders, t)
-        survivor_set = set(survivors)
-
-        deltas = {}
-        for cid in uploaders:
-            delta, _, _ = results[cid][0]
-            if opts.topk_retention < 1.0:
-                delta = compress_topk(delta, opts.topk_retention)
-            deltas[cid] = delta
+        deltas = {cid: compress_topk(updates[cid].delta, opts.topk_retention)
+                  for cid in uploaders}
 
         transported = secure_agg_stub([deltas[cid] for cid in survivors])
         entries = [(cid, d, float(by_id[cid].n_points))
@@ -346,25 +340,23 @@ class FederationEngine:
                                           self.public_idx)
 
         bits_down_each = VALUE_BITS * int(self.public_idx.size)
+        nan = float("nan")
         records = []
         for c in self.clients:
             cid = c.client_id
-            sel = cid in selected_set
+            sel, u = cid in updates, updates.get(cid)
+            bits_up = deltas[cid].bits_upload if cid in survivors else 0
             bits_down = bits_down_each if sel else 0
-            is_straggler = sel and cid not in survivor_set and cid not in aborted
-            bits_up = (deltas[cid].bits_upload
-                       if sel and cid in survivor_set else 0)
             if sel:
                 self.ledger.account(t, cid, bits_up, bits_down)
-            if sel and cid not in aborted:
-                _, loss, gnorm = results[cid][0]
-            else:
-                loss, gnorm = float("nan"), float("nan")
             records.append(RoundRecord(
-                round=t, client_id=cid, selected=sel, straggler=is_straggler,
-                train_loss=loss, val_iou=self.evaluate_client(c),
-                bits_up=bits_up, bits_down=bits_down, grad_norm=gnorm,
-                aborted=cid in aborted))
+                round=t, client_id=cid, selected=sel,
+                straggler=u is not None and cid not in survivors,
+                train_loss=nan if u is None else u.loss,
+                val_iou=self.evaluate_client(c), bits_up=bits_up,
+                bits_down=bits_down,
+                grad_norm=nan if u is None else u.grad_norm,
+                aborted=sel and u is None))
         self.records.extend(records)
         self.round = t
         return records

@@ -20,7 +20,7 @@ import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class ModelConfig:
     world_extent: float = 16.0
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be >= 1")
         if self.feat_dim % self.n_heads != 0:
             raise ValueError("feat_dim must be divisible by n_heads")
         if self.bev_grid[0] < 4 or self.bev_grid[1] < 4:
@@ -85,9 +87,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["bev_grid"] = tuple(d["bev_grid"])
-        return cls(**d)
+        """Inverse of to_dict; every field must be present, and no other."""
+        names = {f.name for f in fields(cls)}
+        for kind, keys in (("unknown", set(d) - names),
+                           ("missing", names - set(d))):
+            if keys:
+                raise ValueError(f"{kind} model keys: {sorted(keys)}")
+        return cls(**{**d, "bev_grid": tuple(d["bev_grid"])})
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,16 @@ class TestSweep:
         assert len(rows) == 1
         assert (tmp_path / "sw" / "topk_retention_1.0" / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("axis, values", [
+        ("select_m", [1, 5]), ("topk_retention", [1.0, 1.5]),
+        ("straggler_ratio", [0.0, 1.0])])
+    def test_bad_later_value_fails_before_any_run(self, axis, values,
+                                                  tmp_path):
+        out = tmp_path / "sw"
+        with pytest.raises(ValueError, match=axis):
+            sweep(tiny_config(rounds=2), axis, values, out)
+        assert not out.exists()
+
     def test_bad_axis(self, tmp_path):
         with pytest.raises(ValueError):
             sweep(tiny_config(), "lr_u", [1], tmp_path / "sw")
@@ -389,6 +399,42 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: unknown CAMFED_LOG_LEVEL 'bogus'\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["model"].update(bogus=1), "unknown model keys"),
+        (lambda d: d["model"].pop("bev_grid"), "missing model keys"),
+        (lambda d: d["clients"][1].pop("rig"),
+         "client 1: missing client keys: ['rig']"),
+        (lambda d: d["model"].update(n_heads=0), "n_heads must be >= 1"),
+    ], ids=["unknown-model-key", "missing-model-key", "client-without-rig",
+            "zero-heads"])
+    def test_malformed_config_exits_1_with_one_error_line(
+            self, edit, message, tmp_path, capsys):
+        doc = tiny_config().to_dict()
+        edit(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_cross_eval_rejects_malformed_model_header(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "run"
+        run_experiment(tiny_config(rounds=1), out)
+        blob = (out / "checkpoint.bin").read_bytes()
+        assert b'"n_heads": 2' in blob
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob.replace(b'"n_heads": 2', b'"n_heads": 0'))
+        code = cli_main(["cross-eval", "--checkpoint", str(bad),
+                         "--out", str(tmp_path / "xe")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n_heads must be >= 1\n"
+        assert not (tmp_path / "xe").exists()
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

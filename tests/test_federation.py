@@ -198,21 +198,30 @@ class TestSelectionScheduleStub:
 
 class TestLocalUpdate:
     def test_frozen_public_slice(self):
-        # lr_u = 0: public delta is exactly zero, private values move
+        # lr_u = 0: public delta is exactly zero, the returned private
+        # slice moves
         eng = small_engine(scheme="fedcap", lr_u=0.0, lr_v=1e-2)
         client = eng.clients[0]
-        before_private = client.private_values.copy()
-        delta, loss, gnorm = eng.local_update(client, lr_u=0.0, lr_v=1e-2,
-                                              round_no=1)
-        assert np.all(delta.values == 0.0)
-        assert not np.array_equal(client.private_values, before_private)
-        assert math.isfinite(loss) and gnorm > 0
+        up = eng.local_update(client, lr_u=0.0, lr_v=1e-2, round_no=1)
+        assert np.all(up.delta.values == 0.0)
+        assert not np.array_equal(up.private_values, client.private_values)
+        assert math.isfinite(up.loss) and up.grad_norm > 0
+
+    def test_writes_nothing_to_engine_or_clients(self):
+        eng = small_engine(scheme="fedcap", n_clients=2)
+        snapshot = lambda: ([eng.store.values.tobytes()]
+                            + [c.private_values.tobytes()
+                               for c in eng.clients])
+        before = snapshot()
+        for c in eng.clients:
+            eng.local_update(c, lr_u=1e-2, lr_v=2e-2, round_no=1)
+        assert snapshot() == before
 
     def test_fedavg_policy_trains_everything(self):
         eng = small_engine(scheme="fedavg")
         client = eng.clients[0]
         assert eng.private_idx.size == 0
-        delta, _, _ = eng.local_update(client, 1e-2, 1e-2, 1)
+        delta = eng.local_update(client, 1e-2, 1e-2, 1).delta
         assert delta.indices.size == eng.store.n
         assert np.any(delta.values != 0.0)
 
@@ -249,8 +258,8 @@ class TestLocalUpdate:
                 local.grads[sl] += leaf.grad.ravel()
         expected = -0.05 * local.grads[eng.public_idx]
 
-        delta, _, _ = eng.local_update(client, lr_u=0.05, lr_v=0.05,
-                                       round_no=1)
+        delta = eng.local_update(client, lr_u=0.05, lr_v=0.05,
+                                 round_no=1).delta
         np.testing.assert_allclose(delta.values, expected, atol=1e-12, rtol=0)
 
     def test_identical_clients_give_identical_deltas(self):
@@ -259,10 +268,10 @@ class TestLocalUpdate:
         eng = FederationEngine(SMALL, PartitionPolicy.from_scheme("fedcap"),
                                clients, total_rounds=1, master_seed=5,
                                options=EngineOptions(lr_u=1e-2, lr_v=1e-2))
-        d0, l0, _ = eng.local_update(eng.clients[0], 1e-2, 1e-2, 1)
-        d1, l1, _ = eng.local_update(eng.clients[1], 1e-2, 1e-2, 1)
-        assert np.array_equal(d0.values, d1.values)
-        assert l0 == l1
+        u0 = eng.local_update(eng.clients[0], 1e-2, 1e-2, 1)
+        u1 = eng.local_update(eng.clients[1], 1e-2, 1e-2, 1)
+        assert np.array_equal(u0.delta.values, u1.delta.values)
+        assert u0.loss == u1.loss
 
 
 class TestRunRound:
@@ -274,9 +283,7 @@ class TestRunRound:
                                options=EngineOptions(lr_u=1e-2, lr_v=1e-2,
                                                      warmup_rounds=1))
         u_before = eng.store.values.copy()
-        delta_probe, _, _ = eng.local_update(eng.clients[0], 1e-2, 1e-2, 1)
-        # reset private state mutated by the probe
-        eng.clients[0].private_values = eng.store.values[eng.private_idx].copy()
+        delta_probe = eng.local_update(eng.clients[0], 1e-2, 1e-2, 1).delta
         recs = eng.run_round()
         np.testing.assert_allclose(
             eng.store.values[eng.public_idx],
@@ -338,6 +345,24 @@ class TestRunRound:
             assert a.val_iou == b.val_iou
             assert a.train_loss == b.train_loss or (
                 np.isnan(a.train_loss) and np.isnan(b.train_loss))
+
+    def test_nonfinite_client_aborts_and_others_aggregate(self):
+        eng = small_engine(scheme="fedcap", n_clients=3)
+        bad = eng.clients[1]
+        bad.dataset.train[0].views[:] = np.nan
+        lr = lr_schedule(1, 1e-2, 0, eng.total_rounds)
+        expected = aggregate(
+            [(c.client_id, eng.local_update(c, lr, lr, 1).delta,
+              float(c.n_points)) for c in (eng.clients[0], eng.clients[2])],
+            eng.store.values, eng.public_idx)
+        bad_private = bad.private_values.copy()
+        recs = eng.run_round()
+        rec = recs[1]
+        assert rec.selected and rec.aborted and not rec.straggler
+        assert rec.bits_up == 0 and math.isnan(rec.train_loss)
+        np.testing.assert_array_equal(bad.private_values, bad_private)
+        assert all(not r.aborted and r.bits_up > 0 for r in (recs[0], recs[2]))
+        np.testing.assert_array_equal(eng.store.values, expected)
 
     def test_selection_subset(self):
         eng = small_engine(n_clients=4, rounds=2, select_m=2)

@@ -238,7 +238,9 @@ class TestForward:
         model.zero_grads()
         loss = model.loss(model.forward(views, rig, mask), target, mask)
         model.backward(loss, mask)
-        sgd_step(store, lr=0.1, idx=priv)   # frozen public slice
+        lr = np.zeros(store.n)
+        lr[priv] = 0.1
+        sgd_step(store, lr=lr)   # frozen public slice
         changed = np.nonzero(store.values != before)[0]
         assert changed.size > 0
         assert np.all(np.isin(changed, store.indices(["pos_embed"])))

@@ -65,8 +65,9 @@ class TestSgd:
         np.testing.assert_allclose(s.values, expected, atol=1e-15, rtol=0)
 
     def test_slice_only(self, store):
+        # a per-index rate that is zero off the slice freezes those indices
         store.grads[:] = 1.0
-        sgd_step(store, lr=1.0, idx=np.array([0, 4]))
+        sgd_step(store, lr=np.array([1.0, 0.0, 0.0, 0.0, 1.0]))
         np.testing.assert_array_equal(store.values, [0.0, 2.0, 3.0, 4.0, 4.0])
 
     def test_nonfinite_rejected(self, store):
@@ -109,33 +110,40 @@ class TestAdamW:
         with pytest.raises(NonFiniteGradientError):
             AdamW(store.n).step(store)
 
+    def test_two_step_bias_correction_oracle(self):
+        s = ParamStore([("a", 2)])
+        s.values[:] = [1.0, -1.0]
+        g1, g2 = np.array([0.5, -2.0]), np.array([1.5, 0.25])
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = AdamW(s.n, lr=lr, betas=(b1, b2), eps=eps, weight_decay=0.0)
+        s.grads[:] = g1
+        opt.step(s)
+        after_one = s.values.copy()
+        s.grads[:] = g2
+        opt.step(s)
+        m = b1 * (1 - b1) * g1 + (1 - b1) * g2
+        v = b2 * (1 - b2) * g1 ** 2 + (1 - b2) * g2 ** 2
+        update = (m / (1 - b1 ** 2)) / (np.sqrt(v / (1 - b2 ** 2)) + eps)
+        np.testing.assert_allclose(s.values, after_one - lr * update,
+                                   atol=1e-15, rtol=0)
+        assert opt.t == 2
+
     def test_disjoint_slices_match_vector_step(self):
-        # stepping u and v slices separately equals one full step when the
-        # learning rate is the same, because moments are per-index
+        # one step with a per-index rate equals, bit for bit, scalar-rate
+        # steps of fresh optimizers on each part, because moments and the
+        # update are elementwise
         rng = np.random.default_rng(1)
         vals = rng.standard_normal(10)
         g = rng.standard_normal(10)
-        s1 = ParamStore([("a", 10)], values=vals)
-        s1.grads[:] = g
-        s2 = ParamStore([("a", 10)], values=vals)
-        s2.grads[:] = g
         idx_u, idx_v = np.arange(0, 6), np.arange(6, 10)
+        lr = np.empty(10)
+        lr[idx_u], lr[idx_v] = 0.05, 0.02
 
-        full = AdamW(10, lr=0.05)
-        full.step(s1)
-        split = AdamW(10, lr=0.05)
-        split.step(s2, idx=idx_v)
-        split.step(s2, idx=idx_u)
-        np.testing.assert_allclose(s1.values, s2.values, atol=1e-15, rtol=0)
-
-    def test_bias_correction_per_index(self):
-        # an index stepped twice must see t=2 correction even if other
-        # indices were stepped once
-        s = ParamStore([("a", 2)])
-        s.values[:] = [0.0, 0.0]
-        opt = AdamW(2, lr=0.1, weight_decay=0.0)
-        s.grads[:] = [1.0, 1.0]
-        opt.step(s, idx=np.array([0]))
-        opt.step(s, idx=np.array([0]))
-        opt.step(s, idx=np.array([1]))
-        assert opt.steps[0] == 2 and opt.steps[1] == 1
+        whole = ParamStore([("a", 10)], values=vals)
+        whole.grads[:] = g
+        AdamW(10).step(whole, lr=lr)
+        for idx, rate in ((idx_u, 0.05), (idx_v, 0.02)):
+            part = ParamStore([("a", idx.size)], values=vals[idx])
+            part.grads[:] = g[idx]
+            AdamW(idx.size).step(part, lr=rate)
+            np.testing.assert_array_equal(whole.values[idx], part.values)
