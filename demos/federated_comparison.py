@@ -27,8 +27,7 @@ def main():
         cfg.seed = 1
         engine = build_engine(cfg)
         engine.run()
-        finals = {c.client_id: engine.evaluate_client(c)
-                  for c in engine.clients}
+        finals = engine.evaluate_clients()
         results[scheme] = finals
         print(f"{scheme}: per-client final IoU "
               f"{ {k: round(v, 3) for k, v in finals.items()} }")

@@ -46,8 +46,7 @@ def main():
         engine = build_engine(tiny(straggler_ratio=ratio))
         engine.run()
         dropped = sum(r.straggler for r in engine.records)
-        mean_iou = np.mean([engine.evaluate_client(c)
-                            for c in engine.clients])
+        mean_iou = np.mean(list(engine.evaluate_clients().values()))
         print(f"ratio {ratio:3}: {dropped:2d} dropped uploads, "
               f"mean final IoU {mean_iou:.3f}, "
               f"total traffic {engine.ledger.total:,} bits")

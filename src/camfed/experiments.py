@@ -22,7 +22,8 @@ import numpy as np
 from .federation import ClientState, EngineOptions, FederationEngine
 from .metrics import (CrossEvalMatrix, EvalReport, cross_evaluate,
                       rounds_to_target)
-from .model import ModelConfig, PartitionPolicy, save_checkpoint
+from .model import (ModelConfig, PartitionPolicy, check_field_types,
+                    save_checkpoint)
 from .netsim import NetworkProfile
 from .seeding import derive_seed
 from .world import build_client_dataset, rig_from_preset
@@ -73,12 +74,19 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Reject out-of-range settings.
+        """Reject settings of the wrong type or out of range.
 
         Runs at construction and again in `engine_settings` (from
         `build_engine` and `sweep`), so a field set after construction is
         checked before any dataset is built.
         """
+        check_field_types(self)
+        for idx, spec in enumerate(self.clients):
+            check_field_types(spec, f"client {idx}: ")
+            if spec.cameras is not None and not all(
+                    type(i) is int for i in spec.cameras):
+                raise ValueError(f"client {idx}: cameras must be a list of "
+                                 f"ints, got {spec.cameras!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.warmup_rounds < 0:
@@ -103,18 +111,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be an object, got {doc!r}")
         doc = dict(doc)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "clients" not in doc or not doc["clients"]:
+        if not isinstance(doc.get("clients"), list) or not doc["clients"]:
             raise ValueError("config needs a non-empty 'clients' list")
         fields = dataclasses.fields(ClientSpec)
         client_known = {f.name for f in fields}
         required = {f.name for f in fields if f.default is dataclasses.MISSING}
         clients = []
         for idx, c in enumerate(doc["clients"]):
+            if not isinstance(c, dict):
+                raise ValueError(f"client {idx} must be an object, got {c!r}")
             for kind, keys in (("unknown", set(c) - client_known),
                                ("missing", required - set(c))):
                 if keys:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .masking import amcm_mask
-from .metrics import mean_iou
+from .metrics import mean_ious
 from .model import ModelConfig, PartitionPolicy, ToyBevt, init_params, split_params
 from .netsim import CommLedger, NetworkProfile, StragglerPlan
 from .optim import AdamW, NonFiniteGradientError, sgd_step
@@ -288,10 +288,22 @@ class FederationEngine:
         values[self.private_idx] = client.private_values
         return values
 
-    def evaluate_client(self, client: ClientState) -> float:
-        """Mean IoU of the client's personalized model on its test split."""
-        model = ToyBevt(self.config, self._build_local_store(client))
-        return mean_iou(model, client.rig, client.mask, client.dataset.test)
+    def evaluate_clients(self) -> dict:
+        """{client_id: mean IoU of its personalized model on its test split}.
+
+        Clients with equal private slices (all of them under fedavg) have
+        the same personalized model, so one model is built per distinct
+        slice and evaluates all of its clients in one `mean_ious` call.
+        """
+        by_slice = {}
+        for c in self.clients:
+            by_slice.setdefault(c.private_values.tobytes(), []).append(c)
+        ious = {}
+        for members in by_slice.values():
+            model = ToyBevt(self.config, self._build_local_store(members[0]))
+            ious.update(zip((c.client_id for c in members),
+                            mean_ious(model, members)))
+        return {c.client_id: ious[c.client_id] for c in self.clients}
 
     # -- the round loop ---------------------------------------------------------
 
@@ -340,6 +352,7 @@ class FederationEngine:
                                           self.public_idx)
 
         bits_down_each = VALUE_BITS * int(self.public_idx.size)
+        val_iou = self.evaluate_clients()
         nan = float("nan")
         records = []
         for c in self.clients:
@@ -353,7 +366,7 @@ class FederationEngine:
                 round=t, client_id=cid, selected=sel,
                 straggler=u is not None and cid not in survivors,
                 train_loss=nan if u is None else u.loss,
-                val_iou=self.evaluate_client(c), bits_up=bits_up,
+                val_iou=val_iou[cid], bits_up=bits_up,
                 bits_down=bits_down,
                 grad_norm=nan if u is None else u.grad_norm,
                 aborted=sel and u is None))

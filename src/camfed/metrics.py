@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import EmptySupportError, _sigmoid
-from .model import ModelConfig, ToyBevt
+from .model import ModelConfig, ToyBevt, rig_key
 from .params import ParamStore
 
 
@@ -33,21 +33,35 @@ def iou(pred_logits: np.ndarray, gt: np.ndarray, mask: np.ndarray,
     return float(inter / union)
 
 
-def mean_iou(model: ToyBevt, rig, mask: np.ndarray, points: list) -> float:
-    """Mean IoU of `model` over data points of one rig; nan without points.
+EVAL_CHUNK = 8
 
-    The parameters enter as constants, so no gradient tape is built. Points
-    run through forward_batch 16 at a time, which bounds the size of each
-    forward's arrays without changing any point's score.
+
+def mean_ious(model: ToyBevt, clients: list) -> list:
+    """Mean IoU of `model` on each client's test split, in input order.
+
+    A client is anything with `rig`, `mask` and `dataset.test`; one without
+    test points gets nan. Clients with equal rig geometry and mask form one
+    group, whose test points run through forward_batch EVAL_CHUNK at a time
+    whichever client they belong to: a point's logits do not depend on its
+    batch-mates, and the bound keeps each forward's arrays small. The
+    parameters enter as constants, so no gradient tape is built.
     """
-    scores = []
+    groups = {}
+    for k, c in enumerate(clients):
+        key = (rig_key(c.rig), c.mask.shape, c.mask.tobytes())
+        groups.setdefault(key, []).append(k)
+    scores = [[] for _ in clients]
     with model._constants():
-        for lo in range(0, len(points), 16):
-            chunk = points[lo:lo + 16]
-            logits = model.forward_batch([p.views for p in chunk], rig, mask)
-            scores.extend(iou(lg.data, p.bev_gt, mask)
-                          for lg, p in zip(logits, chunk))
-    return float(np.mean(scores)) if scores else float("nan")
+        for members in groups.values():
+            rig, mask = clients[members[0]].rig, clients[members[0]].mask
+            jobs = [(k, p) for k in members for p in clients[k].dataset.test]
+            for lo in range(0, len(jobs), EVAL_CHUNK):
+                chunk = jobs[lo:lo + EVAL_CHUNK]
+                logits = model.forward_batch([p.views for _, p in chunk],
+                                             rig, mask)
+                for (k, p), lg in zip(chunk, logits):
+                    scores[k].append(iou(lg.data, p.bev_gt, mask))
+    return [float(np.mean(s)) if s else float("nan") for s in scores]
 
 
 @dataclass
@@ -100,9 +114,7 @@ def cross_evaluate(config: ModelConfig, segment_sizes: list,
         full = base_values.copy()
         full[private_idx] = owner.private_values
         model = ToyBevt(config, ParamStore(segment_sizes, values=full))
-        for i, data in enumerate(clients):
-            values[i, j] = mean_iou(model, data.rig, data.mask,
-                                    data.dataset.test)
+        values[:, j] = mean_ious(model, clients)
     return CrossEvalMatrix(client_ids=[c.client_id for c in clients],
                            values=values)
 

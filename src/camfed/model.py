@@ -21,6 +21,7 @@ import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -40,6 +41,38 @@ SCHEME_PRIVATE_SEGMENTS = {
 }
 
 
+_TYPE_NAMES = {int: "an int", float: "a real number", bool: "true or false",
+               str: "a string", list: "a list", type(None): "null"}
+
+
+def _has_type(value, kind) -> bool:
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is type(None):
+        return value is None
+    return isinstance(value, kind)
+
+
+def check_field_types(obj, where: str = "") -> None:
+    """Raise ValueError naming the first field of dataclass `obj` whose
+    value does not have its annotated type.
+
+    An int field takes an int but not a bool, a float field any real number
+    but a bool, and an `X | None` field also None. A config read from JSON
+    can carry a string or a list anywhere; this turns that into one message.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kinds = get_args(f.type) or (f.type,)
+        if not any(_has_type(value, kind) for kind in kinds):
+            expected = " or ".join(_TYPE_NAMES.get(k, k.__name__)
+                                   for k in kinds)
+            raise ValueError(f"{where}{f.name} must be {expected}, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     feat_dim: int = 16
@@ -56,6 +89,11 @@ class ModelConfig:
     world_extent: float = 16.0
 
     def __post_init__(self):
+        grid = self.bev_grid
+        if not (isinstance(grid, tuple) and len(grid) == 2
+                and all(_has_type(n, int) for n in grid)):
+            raise ValueError(f"bev_grid must be a pair of ints, got {grid!r}")
+        check_field_types(self)
         if self.n_heads < 1:
             raise ValueError("n_heads must be >= 1")
         if self.feat_dim % self.n_heads != 0:
@@ -88,12 +126,16 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of to_dict; every field must be present, and no other."""
+        if not isinstance(d, dict):
+            raise ValueError(f"model must be an object, got {d!r}")
         names = {f.name for f in fields(cls)}
         for kind, keys in (("unknown", set(d) - names),
                            ("missing", names - set(d))):
             if keys:
                 raise ValueError(f"{kind} model keys: {sorted(keys)}")
-        return cls(**{**d, "bev_grid": tuple(d["bev_grid"])})
+        grid = d["bev_grid"]
+        return cls(**{**d, "bev_grid": (tuple(grid) if isinstance(grid, list)
+                                        else grid)})
 
 
 @dataclass(frozen=True)
@@ -130,6 +172,15 @@ def camera_ray_directions(n_bins: int) -> np.ndarray:
     """Unit ray directions per azimuth bin in the camera's own frame, (A, 3)."""
     phis = np.radians(azimuth_bin_angles(n_bins))
     return np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=1)
+
+
+def rig_key(rig: CameraRig) -> tuple:
+    """The camera geometry a forward pass reads from `rig`, as a dict key.
+
+    Two rigs with equal keys give every data point the same logits.
+    """
+    return tuple((c.height, c.roll, c.pitch, c.yaw, c.fov_azimuth,
+                  c.n_azimuth_bins) for c in rig.cameras)
 
 
 N_POS_FEATURES = 3
@@ -299,14 +350,13 @@ class ToyBevt:
             self._tape = True
 
     def _rig_geometry(self, rig: CameraRig):
-        """(ray features, active-bin mask) for a rig, cached.
+        """(ray features, active-bin mask) for a rig, cached by `rig_key`.
 
         Only bins inside a camera's field of view become attention tokens;
         the remaining bins never carry content and a real camera would not
         produce them at all.
         """
-        cache_key = tuple((c.height, c.roll, c.pitch, c.yaw, c.fov_azimuth,
-                           c.n_azimuth_bins) for c in rig.cameras)
+        cache_key = rig_key(rig)
         if cache_key not in self._rig_cache:
             n_bins = self.config.n_azimuth_bins
             rays = ray_features(rig, n_bins)

@@ -166,6 +166,17 @@ class TestElementwiseOps:
         for _ in range(10):
             check_op(lambda ts: ad.layer_norm(ts[0]), [(3, 6)], rng, tol=1e-5)
 
+    @pytest.mark.parametrize("shape", [(1024, 16), (4096, 16), (5, 3)])
+    def test_layer_norm_equals_mean_var_formula_exactly(self, shape):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            a = (rng.standard_normal(shape) * rng.uniform(0.1, 50.0)
+                 + rng.uniform(-20.0, 20.0))
+            mu = a.mean(axis=1, keepdims=True)
+            want = (a - mu) * (1.0 / np.sqrt(a.var(axis=1, keepdims=True)
+                                             + 1e-5))
+            np.testing.assert_array_equal(ad.layer_norm(Tensor(a)).data, want)
+
     def test_reshape(self):
         rng = np.random.default_rng(12)
         for _ in range(10):

@@ -96,6 +96,58 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(rounds="3"), "rounds must be an int, got '3'"),
+        (lambda d: d.update(batch_size=True), "batch_size must be an int"),
+        (lambda d: d.update(select_m=2.0), "select_m must be an int or null"),
+        (lambda d: d.update(lr_u="0.01"), "lr_u must be a real number"),
+        (lambda d: d.update(straggler_ratio=None),
+         "straggler_ratio must be a real number"),
+        (lambda d: d.update(amcm=1), "amcm must be true or false"),
+        (lambda d: d.update(scheme=3), "scheme must be a string"),
+        (lambda d: d["clients"][1].update(n_points="5"),
+         "client 1: n_points must be an int"),
+        (lambda d: d["clients"][0].update(cameras=1),
+         "client 0: cameras must be a list or null"),
+        (lambda d: d["clients"][0].update(cameras=[1.0]),
+         "client 0: cameras must be a list of ints"),
+        (lambda d: d["model"].update(n_heads="2"), "n_heads must be an int"),
+        (lambda d: d["model"].update(bev_grid=8),
+         "bev_grid must be a pair of ints, got 8"),
+        (lambda d: d["model"].update(bev_grid=[8, 8, 8]),
+         "bev_grid must be a pair of ints"),
+        (lambda d: d["model"].update(world_extent="16"),
+         "world_extent must be a real number"),
+        (lambda d: d.update(model=[16]), "model must be an object, got [16]"),
+        (lambda d: d["clients"].__setitem__(1, "car"),
+         "client 1 must be an object, got 'car'"),
+    ])
+    def test_wrong_json_type_names_the_key(self, edit, message):
+        doc = json.loads(json.dumps(tiny_config().to_dict()))
+        edit(doc)
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert message in str(err.value)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ValueError, match="config must be an object"):
+            ExperimentConfig.from_dict([tiny_config().to_dict()])
+
+    def test_wrong_type_set_after_construction_fails_before_any_dataset(
+            self, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiments, "build_client_dataset",
+                            lambda *a, **k: built.append(a))
+        cfg = tiny_config()
+        cfg.topk_retention = "0.5"
+        with pytest.raises(ValueError, match="topk_retention must be a real"):
+            build_engine(cfg)
+        assert built == []
+
+    def test_real_numbers_accept_ints(self):
+        cfg = tiny_config(lr_u=1, topk_retention=1, straggler_ratio=0)
+        assert cfg.lr_u == 1 and ModelConfig(world_extent=16).world_extent == 16
+
     def test_bounds_accepted(self):
         cfg = tiny_config(rounds=1, warmup_rounds=0, batch_size=1)
         assert (cfg.rounds, cfg.warmup_rounds, cfg.batch_size) == (1, 0, 1)
@@ -420,6 +472,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "rounds", "3", "rounds must be an int, got '3'"),
+        ("model", "n_heads", "2", "n_heads must be an int, got '2'"),
+        ("model", "bev_grid", 16, "bev_grid must be a pair of ints, got 16"),
+    ], ids=["string-rounds", "string-n_heads", "scalar-bev_grid"])
+    def test_wrong_json_type_exits_1_with_one_error_line(
+            self, section, key, value, message, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        assert cli_main(["preset", "uc1", "--emit", str(cfg_path),
+                         "--scale", "200"]) == 0
+        doc = json.loads(cfg_path.read_text())
+        (doc if section is None else doc[section])[key] = value
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_cross_eval_rejects_malformed_model_header(self, tmp_path,

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from camfed import federation
 from camfed.federation import (ClientState, Delta, EngineOptions,
                                FederationEngine, aggregate, client_selection,
                                compress_topk, dense_delta, lr_schedule,
                                secure_agg_stub)
-from camfed.model import ModelConfig, PartitionPolicy
+from camfed.metrics import iou
+from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
+from camfed.params import ParamStore
 from camfed.netsim import NetworkProfile
 from camfed.world import build_client_dataset, rig_from_preset
 
@@ -363,6 +366,44 @@ class TestRunRound:
         np.testing.assert_array_equal(bad.private_values, bad_private)
         assert all(not r.aborted and r.bits_up > 0 for r in (recs[0], recs[2]))
         np.testing.assert_array_equal(eng.store.values, expected)
+
+    @pytest.mark.parametrize("scheme, select_m, groups", [
+        ("fedavg", 3, [[0, 1, 2]]),
+        ("fedcap", 1, None),          # the selected client, the other two
+    ])
+    def test_one_eval_model_per_distinct_private_slice(
+            self, scheme, select_m, groups, monkeypatch):
+        eng = small_engine(scheme=scheme, n_clients=3, select_m=select_m)
+        built, calls = [], []
+
+        class CountingToyBevt(ToyBevt):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        def recording_mean_ious(model, clients):
+            calls.append((model, [c.client_id for c in clients]))
+            return mean_ious(model, clients)
+
+        mean_ious = federation.mean_ious
+        monkeypatch.setattr(federation, "ToyBevt", CountingToyBevt)
+        monkeypatch.setattr(federation, "mean_ious", recording_mean_ious)
+        recs = eng.run_round()
+        selected = [r.client_id for r in recs if r.selected]
+        if groups is None:
+            groups = [selected, [r.client_id for r in recs if not r.selected]]
+            groups.sort()
+        assert sorted(ids for _, ids in calls) == groups
+        # one model per local update, then one per distinct private slice
+        assert len(built) == len(selected) + len(groups)
+        assert [m for m, _ in calls] == built[len(selected):]
+        segments = [(s.name, s.length) for s in eng.store.segments]
+        for r, c in zip(recs, eng.clients):
+            model = ToyBevt(SMALL, ParamStore(
+                segments, values=eng.personalized_values(c)))
+            ref = np.mean([iou(model.forward(p.views, c.rig, c.mask).data,
+                               p.bev_gt, c.mask) for p in c.dataset.test])
+            assert r.val_iou == float(ref)
 
     def test_selection_subset(self):
         eng = small_engine(n_clients=4, rounds=2, select_m=2)

@@ -5,11 +5,11 @@ from camfed import metrics
 from camfed.autodiff import EmptySupportError
 from camfed.federation import ClientState, EngineOptions, FederationEngine
 from camfed.masking import amcm_mask
-from camfed.metrics import (convergence_diagnostic, cross_evaluate, iou,
-                            mean_iou, rounds_to_target)
+from camfed.metrics import (EVAL_CHUNK, convergence_diagnostic,
+                            cross_evaluate, iou, mean_ious, rounds_to_target)
 from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
 from camfed.params import ParamStore
-from camfed.world import build_client_dataset, rig_from_preset
+from camfed.world import ClientDataset, build_client_dataset, rig_from_preset
 
 BIG = 20.0   # logit that saturates sigmoid
 
@@ -66,43 +66,112 @@ class TestIou:
             iou(np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3)))
 
 
+def make_client(rig, points, seed=0, mask=None):
+    """A client whose every point is a test point."""
+    return ClientState(client_id=seed, rig=rig,
+                       dataset=ClientDataset(points=list(points), n_train=0),
+                       n_points=max(len(points), 1), seed=seed,
+                       mask=amcm_mask(rig, (8, 8), 16.0) if mask is None
+                       else mask)
+
+
+def reference_iou(model, client):
+    """Mean IoU over one taped forward per test point; nan without points."""
+    scores = [iou(model.forward(p.views, client.rig, client.mask).data,
+                  p.bev_gt, client.mask) for p in client.dataset.test]
+    return float(np.mean(scores)) if scores else float("nan")
+
+
 class TestMeanIou:
     CFG = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
                       decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2)
 
-    @pytest.mark.parametrize("cameras", [[1], [1, 2, 3, 4]])
-    def test_chunked_equals_one_forward_per_point(self, cameras):
-        # 17 points cross the 16-point chunk boundary
-        rig = rig_from_preset("car", camera_ids=cameras, n_azimuth_bins=12,
-                              n_elevation_bins=2)
-        points = build_client_dataset(rig, 17, seed=3, grid=(8, 8)).points
-        mask = amcm_mask(rig, (8, 8), 16.0)
-        model = ToyBevt(self.CFG, seed=4)
+    @classmethod
+    def mixed_model(cls, rig, points):
+        model = ToyBevt(cls.CFG, seed=4)
         # centre the decoder bias so predictions mix positives and negatives
         sl, _ = model._offsets["decoder.b2"]
         model.params.values[sl] -= np.median(
-            model.forward(points[0].views, rig, mask).data)
-        single = [iou(model.forward(p.views, rig, mask).data, p.bev_gt, mask)
-                  for p in points]
+            model.forward(points[0].views, rig).data)
+        return model
+
+    @staticmethod
+    def rig(name, cameras=None):
+        return rig_from_preset(name, camera_ids=cameras, n_azimuth_bins=12,
+                               n_elevation_bins=2)
+
+    @classmethod
+    def mixed_clients(cls):
+        """bus, truck, cars on cameras [1] (twice), [1,2,3] and all four,
+        and a client without test points sharing the last car's rig."""
+        specs = [("bus", None, 5, 11), ("car", [1], 6, 12),
+                 ("truck", None, 4, 13), ("car", [1], 7, 14),
+                 ("car", [1, 2, 3], 9, 15), ("car", None, 3, 16),
+                 ("car", None, 0, 17)]
+        clients = []
+        for name, cameras, n, seed in specs:
+            rig = cls.rig(name, cameras)
+            points = (build_client_dataset(rig, n, seed=seed, grid=(8, 8)).points
+                      if n else [])
+            clients.append(make_client(rig, points, seed=seed))
+        return clients
+
+    @pytest.mark.parametrize("cameras", [[1], [1, 2, 3, 4]])
+    def test_chunked_equals_one_forward_per_point(self, cameras):
+        # 17 points cross two chunk boundaries
+        rig = self.rig("car", cameras)
+        client = make_client(
+            rig, build_client_dataset(rig, 17, seed=3, grid=(8, 8)).points)
+        model = self.mixed_model(rig, client.dataset.test)
+        single = [iou(model.forward(p.views, rig, client.mask).data, p.bev_gt,
+                      client.mask) for p in client.dataset.test]
         assert len(set(single)) > 1
-        assert mean_iou(model, rig, mask, points) == float(np.mean(single))
+        assert mean_ious(model, [client]) == [float(np.mean(single))]
+
+    def test_mixed_clients_equal_per_client_reference(self):
+        clients = self.mixed_clients()
+        model = self.mixed_model(clients[1].rig, clients[1].dataset.test)
+        got = mean_ious(model, clients)
+        ref = [reference_iou(ToyBevt(self.CFG, ParamStore(
+            [(s.name, s.length) for s in model.params.segments],
+            values=model.params.values.copy())), c) for c in clients]
+        assert len(set(ref[:-1])) > 2
+        np.testing.assert_array_equal(got, ref)
+        assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+
+    def test_forward_batch_sees_at_most_eight_points(self, monkeypatch):
+        sizes = []
+        forward_batch = ToyBevt.forward_batch
+
+        def recording(model, views_list, rig, mask=None):
+            sizes.append(len(views_list))
+            return forward_batch(model, views_list, rig, mask)
+
+        monkeypatch.setattr(ToyBevt, "forward_batch", recording)
+        clients = self.mixed_clients()
+        mean_ious(ToyBevt(self.CFG, seed=4), clients)
+        # groups in first-seen order: bus 5, front-camera cars 6 + 7 (a
+        # chunk of 8 spans both), truck 4, three-camera car 9, the
+        # four-camera car 3 and the client without points
+        assert EVAL_CHUNK == 8
+        assert sizes == [5, 8, 5, 4, 8, 1, 3]
 
     def test_builds_no_tape(self):
-        rig = rig_from_preset("car", n_azimuth_bins=12, n_elevation_bins=2)
-        points = build_client_dataset(rig, 20, seed=3, grid=(8, 8)).points
-        mask = amcm_mask(rig, (8, 8), 16.0)
+        rig = self.rig("car")
+        client = make_client(
+            rig, build_client_dataset(rig, 20, seed=3, grid=(8, 8)).points)
         model = ToyBevt(self.CFG, seed=4)
         for _ in range(3):
-            mean_iou(model, rig, mask, points)
+            mean_ious(model, [client])
             assert len(model._leaves) == 0
         # training forwards still record their leaves afterwards
-        model.forward(points[0].views, rig, mask)
+        model.forward(client.dataset.test[0].views, rig, client.mask)
         assert len(model._leaves) > 0
 
     def test_no_points_is_nan(self):
-        rig = rig_from_preset("car", n_azimuth_bins=12, n_elevation_bins=2)
+        client = make_client(self.rig("car"), [], mask=np.ones((8, 8)))
         model = ToyBevt(self.CFG, seed=4)
-        assert np.isnan(mean_iou(model, rig, np.ones((8, 8)), []))
+        assert np.isnan(mean_ious(model, [client])).all()
 
 
 class TestConvergenceDiagnostic:
@@ -215,11 +284,12 @@ class TestCrossEvaluate:
                            [(s.name, s.length) for s in eng.store.segments],
                            eng.store.values, eng.private_idx, eng.clients)
         assert m.client_ids == [0, 1]
-        assert m.values[1, 1] == eng.evaluate_client(eng.clients[1])
+        assert m.values[1, 1] == eng.evaluate_clients()[1]
 
     @staticmethod
     def per_pair_matrix(engine):
-        """One mean_iou per (model, testset) pair, nothing shared."""
+        """A fresh model and one forward per point for every (model,
+        testset) pair, nothing shared."""
         segments = [(s.name, s.length) for s in engine.store.segments]
         n = len(engine.clients)
         out = np.zeros((n, n))
@@ -227,8 +297,7 @@ class TestCrossEvaluate:
             for i, data in enumerate(engine.clients):
                 model = ToyBevt(engine.config, ParamStore(
                     segments, values=engine.personalized_values(owner)))
-                out[i, j] = mean_iou(model, data.rig, data.mask,
-                                     data.dataset.test)
+                out[i, j] = reference_iou(model, data)
         return out
 
     @pytest.mark.parametrize("scheme, distinct", [("fedcap", 3), ("fedavg", 1)])
@@ -237,16 +306,16 @@ class TestCrossEvaluate:
         eng = self.tiny_engine([5, 6, 7], scheme=scheme)
         slices = {c.private_values.tobytes() for c in eng.clients}
         assert len(slices) == distinct
-        calls = []
+        built = []
 
-        def counting_mean_iou(*args):
-            calls.append(args)
-            return mean_iou(*args)
+        class CountingToyBevt(ToyBevt):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "mean_iou", counting_mean_iou)
+        monkeypatch.setattr(metrics, "ToyBevt", CountingToyBevt)
         m = self.matrix_of(eng)
-        assert len(calls) == 3 * distinct
+        assert len(built) == distinct
         np.testing.assert_array_equal(m.values, self.per_pair_matrix(eng))
         if distinct == 1:
             assert (m.values == m.values[:, :1]).all()
-
