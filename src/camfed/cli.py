@@ -69,6 +69,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_cross_eval(args) -> int:
     store, _, extras, meta = load_checkpoint(args.checkpoint)
+    if "config" not in meta:
+        raise ValueError("checkpoint meta has no run config")
     config = ExperimentConfig.from_dict(meta["config"])
     engine = build_engine(config)
     engine.store.values[:] = store.values
@@ -129,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _log_level() -> int:
     name = os.environ.get("CAMFED_LOG_LEVEL", "WARNING")
-    level = logging.getLevelNamesMapping().get(name.upper())
-    if level is None:
+    level = logging.getLevelName(name.upper())   # an int for known names
+    if not isinstance(level, int):
         raise ValueError(f"unknown CAMFED_LOG_LEVEL {name!r}")
     return level
 

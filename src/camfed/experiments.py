@@ -43,11 +43,6 @@ class ClientSpec:
     local_epochs: int = 1
     seed: int | None = None           # derived from the master seed if None
 
-    def to_dict(self) -> dict:
-        return {"rig": self.rig, "n_points": self.n_points,
-                "cameras": self.cameras, "local_epochs": self.local_epochs,
-                "seed": self.seed}
-
 
 @dataclass
 class ExperimentConfig:
@@ -104,10 +99,7 @@ class ExperimentConfig:
                 raise ValueError(f"client {idx}: n_points must be >= 2")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["clients"] = [c.to_dict() for c in self.clients]
-        d["model"] = self.model.to_dict()
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -291,14 +283,12 @@ def summarize(engine: FederationEngine, config: ExperimentConfig) -> dict:
         "total_bits_up": engine.ledger.total_up,
         "total_bits_down": engine.ledger.total_down,
         "hooks": engine.hooks,
-        "clients": [r.to_dict() for r in per_client],
+        "clients": [dataclasses.asdict(r) for r in per_client],
     }
 
 
 def cross_eval_matrix(engine: FederationEngine) -> CrossEvalMatrix:
-    seg_sizes = [(s.name, s.length) for s in engine.store.segments]
-    return cross_evaluate(engine.config, seg_sizes, engine.store.values,
-                          engine.private_idx, engine.clients)
+    return cross_evaluate(engine.personalized_models(), engine.clients)
 
 
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):

@@ -229,9 +229,12 @@ class FederationEngine:
 
     # -- local training -------------------------------------------------------
 
-    def _build_local_store(self, client: ClientState) -> ParamStore:
-        return ParamStore([(s.name, s.length) for s in self.store.segments],
-                          values=self.personalized_values(client))
+    def personal_store(self, client: ClientState) -> ParamStore:
+        """A copy of the engine's parameters carrying `client`'s private
+        slice: the parameters of the client's personalized model."""
+        store = self.store.clone()
+        store.values[self.private_idx] = client.private_values
+        return store
 
     def _batch_backward(self, model: ToyBevt, client: ClientState,
                         batch) -> float:
@@ -255,7 +258,7 @@ class FederationEngine:
         starts fresh every round. Writes nothing to the client or the
         engine, so clients can train in any order or in parallel.
         """
-        local = self._build_local_store(client)
+        local = self.personal_store(client)
         model = ToyBevt(self.config, local)
         step = (AdamW(self.store.n).step if self.options.optimizer == "adamw"
                 else sgd_step)
@@ -283,24 +286,25 @@ class FederationEngine:
 
     # -- evaluation -----------------------------------------------------------
 
-    def personalized_values(self, client: ClientState) -> np.ndarray:
-        values = self.store.values.copy()
-        values[self.private_idx] = client.private_values
-        return values
-
-    def evaluate_clients(self) -> dict:
-        """{client_id: mean IoU of its personalized model on its test split}.
+    def personalized_models(self):
+        """Yield (clients, ToyBevt): one personalized model per distinct
+        private slice, with the clients that share it, in client order.
 
         Clients with equal private slices (all of them under fedavg) have
-        the same personalized model, so one model is built per distinct
-        slice and evaluates all of its clients in one `mean_ious` call.
+        the same personalized model. Each model is built only when the
+        caller asks for the next one.
         """
         by_slice = {}
         for c in self.clients:
             by_slice.setdefault(c.private_values.tobytes(), []).append(c)
-        ious = {}
         for members in by_slice.values():
-            model = ToyBevt(self.config, self._build_local_store(members[0]))
+            yield members, ToyBevt(self.config, self.personal_store(members[0]))
+
+    def evaluate_clients(self) -> dict:
+        """{client_id: mean IoU of its personalized model on its test split},
+        one `mean_ious` call per personalized model."""
+        ious = {}
+        for members, model in self.personalized_models():
             ious.update(zip((c.client_id for c in members),
                             mean_ious(model, members)))
         return {c.client_id: ious[c.client_id] for c in self.clients}

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import EmptySupportError, _sigmoid
-from .model import ModelConfig, ToyBevt, rig_key
-from .params import ParamStore
+from .model import ToyBevt, rig_key
 
 
 def iou(pred_logits: np.ndarray, gt: np.ndarray, mask: np.ndarray,
@@ -87,34 +86,25 @@ class CrossEvalMatrix:
                 fh.write(",".join(row) + "\n")
 
 
-def cross_evaluate(config: ModelConfig, segment_sizes: list,
-                   base_values: np.ndarray, private_idx: np.ndarray,
-                   clients: list) -> CrossEvalMatrix:
+def cross_evaluate(models, clients: list) -> CrossEvalMatrix:
     """Evaluate each client's personalized model on every client's testset.
 
-    `clients` are the engine's ClientStates. Entry (i, j) couples model j's
-    private slice with testset i's rig geometry and mask: a model visiting a
-    foreign rig keeps its own personalization, which is exactly the mismatch
-    being measured. Column j depends on nothing else of client j, so a
-    column whose private slice equals an earlier one's (every column under
-    fedavg) is a copy of that column.
+    `models` yields (owners, model) pairs, as
+    `FederationEngine.personalized_models()` does, and every client owns
+    exactly one model. Entry (i, j) scores client j's model with testset
+    i's rig geometry and mask: a model visiting a foreign rig keeps its own
+    personalization, which is exactly the mismatch being measured. Each
+    model's column is computed once and written for every owner.
     """
     if not clients:
         raise ValueError("cross_evaluate needs at least one client")
     if len({c.mask.shape for c in clients}) != 1:
         raise ValueError("testset grids have incompatible shapes")
+    column = {c.client_id: j for j, c in enumerate(clients)}
     values = np.zeros((len(clients), len(clients)))
-    first_column = {}
-    for j, owner in enumerate(clients):
-        key = owner.private_values.tobytes()
-        if key in first_column:
-            values[:, j] = values[:, first_column[key]]
-            continue
-        first_column[key] = j
-        full = base_values.copy()
-        full[private_idx] = owner.private_values
-        model = ToyBevt(config, ParamStore(segment_sizes, values=full))
-        values[:, j] = mean_ious(model, clients)
+    for owners, model in models:
+        owned = [column[c.client_id] for c in owners]
+        values[:, owned] = np.asarray(mean_ious(model, clients))[:, None]
     return CrossEvalMatrix(client_ids=[c.client_id for c in clients],
                            values=values)
 
@@ -159,14 +149,3 @@ class EvalReport:
     rounds_to_target_95: int
     bits_up_total: int
     bits_down_total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "final_iou": self.final_iou,
-            "final_train_loss": self.final_train_loss,
-            "rounds_used": self.rounds_used,
-            "rounds_to_target_95": self.rounds_to_target_95,
-            "bits_up_total": self.bits_up_total,
-            "bits_down_total": self.bits_down_total,
-        }

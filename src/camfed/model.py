@@ -20,7 +20,7 @@ import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import get_args
 
 import numpy as np
@@ -110,18 +110,7 @@ class ModelConfig:
         return self.bev_grid[0] * self.bev_grid[1]
 
     def to_dict(self) -> dict:
-        return {
-            "feat_dim": self.feat_dim, "bev_grid": list(self.bev_grid),
-            "n_heads": self.n_heads, "n_attn_layers": self.n_attn_layers,
-            "encoder_hidden": self.encoder_hidden,
-            "decoder_hidden": self.decoder_hidden,
-            "pos_hidden": self.pos_hidden,
-            "n_azimuth_bins": self.n_azimuth_bins,
-            "n_elevation_bins": self.n_elevation_bins,
-            "n_view_channels": self.n_view_channels,
-            "max_cameras": self.max_cameras,
-            "world_extent": self.world_extent,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -418,9 +407,7 @@ class ToyBevt:
             [v.reshape(len(active), cfg.token_dim)[active]
              for v in views_list], axis=0)
         enc_all = self._mlp(ad.constant(stacked), "encoder")
-        pos = self._pos_tokens(rig)
-        if batch > 1:
-            pos = ad.tile_rows(pos, batch)
+        pos = ad.tile_rows(self._pos_tokens(rig), batch)
         tok = ad.layer_norm(ad.add(enc_all, pos))     # (batch*n_tok, f)
 
         q = self._leaf("bev_query.q")                 # shared until layer 1
@@ -439,15 +426,12 @@ class ToyBevt:
                                               q_shared=q_shared)
             attn = ad.affine(attn, self._leaf(f"{p}.wo"),
                              self._leaf(f"{p}.bo"))
-            residual = (ad.tile_rows(q, batch)
-                        if q_shared and batch > 1 else q)
+            residual = ad.tile_rows(q, batch) if q_shared else q
             q = ad.layer_norm(ad.add(residual, attn))
             q_shared = False
 
         qs = ad.layer_norm(ad.add(q, self._mlp(q, "refine")))
         logits_all = self._mlp(qs, "decoder")
-        if batch == 1:
-            return [ad.reshape(logits_all, cfg.bev_grid)]
         return [ad.reshape(ad.slice_rows(logits_all, b * n_cells,
                                          (b + 1) * n_cells), cfg.bev_grid)
                 for b in range(batch)]
@@ -509,10 +493,34 @@ def save_checkpoint(path, store: ParamStore, config: ModelConfig,
             fh.write(a.astype("<f8").tobytes())
 
 
+def _check_header(header: dict) -> None:
+    missing = {"segments", "config", "meta", "arrays"} - set(header)
+    if missing:
+        raise ValueError(f"checkpoint header lacks {sorted(missing)}")
+    if not (isinstance(header["meta"], dict)
+            and isinstance(header["arrays"], list)):
+        raise ValueError("checkpoint meta must be an object and arrays a list")
+    segments = header["segments"]
+    if not (isinstance(segments, list) and all(
+            isinstance(s, list) and len(s) == 3 and isinstance(s[0], str)
+            and all(_has_type(n, int) for n in s[1:]) for s in segments)):
+        raise ValueError("checkpoint segments must be [name, offset, length] "
+                         "triples")
+    for spec in header["arrays"]:
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+                and _has_type(spec.get("length"), int)
+                and spec["length"] >= 0):
+            raise ValueError(f"checkpoint array entry {spec!r} needs a name "
+                             "and a non-negative int length")
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (ParamStore, ModelConfig, extras, meta).
 
-    A file cut short or carrying bytes past its last array is a ValueError.
+    A header that is not an object with `segments` ([name, offset, length]
+    triples), `config`, `meta` (an object) and `arrays` (each named, with a
+    non-negative int length), a file cut short, or one carrying bytes past
+    its last array is a ValueError.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(8)
@@ -520,8 +528,9 @@ def load_checkpoint(path):
             raise ValueError("not a recognized checkpoint file")
         (hlen,) = struct.unpack("<Q", prefix)
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format") != _CKPT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != _CKPT_FORMAT:
             raise ValueError("not a recognized checkpoint file")
+        _check_header(header)
         arrays = {}
         for spec in header["arrays"]:
             raw = fh.read(spec["length"] * 8)

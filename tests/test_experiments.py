@@ -1,10 +1,12 @@
 import json
+import logging
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from camfed import experiments
+from camfed import cli, experiments
 from camfed.cli import main as cli_main
 from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
                                 preset, run_experiment, sweep)
@@ -451,6 +453,65 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: unknown CAMFED_LOG_LEVEL 'bogus'\n"
         assert captured.out == ""
+
+    def test_log_level_without_level_names_mapping(self, capsys,
+                                                   monkeypatch):
+        # logging.getLevelNamesMapping first appears in Python 3.11
+        monkeypatch.delattr(logging, "getLevelNamesMapping")
+        monkeypatch.setenv("CAMFED_LOG_LEVEL", "INFO")
+        assert cli._log_level() == logging.INFO
+        monkeypatch.setenv("CAMFED_LOG_LEVEL", "bogus")
+        assert cli_main(["preset", "uc1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown CAMFED_LOG_LEVEL 'bogus'\n"
+        assert captured.out == ""
+
+    @staticmethod
+    def with_header(blob, edit):
+        """`blob` with its checkpoint header replaced by edit(header)."""
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
+        return struct.pack("<Q", len(header)) + header + blob[8 + hlen:]
+
+    @staticmethod
+    def negative_length(header):
+        header["arrays"][1]["length"] = -1
+        return header
+
+    @pytest.mark.parametrize("case, message", [
+        ("list-header", "not a recognized checkpoint file"),
+        ("no-arrays", "checkpoint header lacks ['arrays']"),
+        ("negative-length", "a non-negative int length"),
+        ("scalar-segments", "segments must be [name, offset, length]"),
+        ("default-meta", "checkpoint meta has no run config"),
+    ], ids=["list-header", "no-arrays", "negative-length", "scalar-segments",
+            "default-meta"])
+    def test_cross_eval_rejects_malformed_checkpoint(self, case, message,
+                                                    tmp_path, capsys):
+        from camfed.model import load_checkpoint, save_checkpoint
+        run = tmp_path / "run"
+        run_experiment(tiny_config(rounds=1), run)
+        blob = (run / "checkpoint.bin").read_bytes()
+        bad = tmp_path / "bad.bin"
+        if case == "default-meta":
+            store, config, extras, _ = load_checkpoint(run / "checkpoint.bin")
+            save_checkpoint(bad, store, config, extra_arrays=extras)
+        else:
+            edit = {"list-header": lambda h: [h],
+                    "no-arrays": lambda h: {k: v for k, v in h.items()
+                                            if k != "arrays"},
+                    "negative-length": self.negative_length,
+                    "scalar-segments": lambda h: h | {"segments": 5}}[case]
+            bad.write_bytes(self.with_header(blob, edit))
+        capsys.readouterr()
+        out = tmp_path / "xe"
+        code = cli_main(["cross-eval", "--checkpoint", str(bad),
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["model"].update(bogus=1), "unknown model keys"),

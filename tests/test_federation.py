@@ -10,7 +10,6 @@ from camfed.federation import (ClientState, Delta, EngineOptions,
                                secure_agg_stub)
 from camfed.metrics import iou
 from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
-from camfed.params import ParamStore
 from camfed.netsim import NetworkProfile
 from camfed.world import build_client_dataset, rig_from_preset
 
@@ -220,6 +219,21 @@ class TestLocalUpdate:
             eng.local_update(c, lr_u=1e-2, lr_v=2e-2, round_no=1)
         assert snapshot() == before
 
+    def test_personal_store_is_a_copy_with_the_private_slice(self):
+        eng = small_engine(scheme="fedcap", n_clients=2)
+        client = eng.clients[1]
+        client.private_values = client.private_values + 1.0
+        private = client.private_values.copy()
+        shared = eng.store.values.copy()
+        store = eng.personal_store(client)
+        assert store.segments == eng.store.segments
+        np.testing.assert_array_equal(store.values[eng.public_idx],
+                                      eng.store.values[eng.public_idx])
+        np.testing.assert_array_equal(store.values[eng.private_idx], private)
+        store.values[:] = 7.0
+        np.testing.assert_array_equal(eng.store.values, shared)
+        np.testing.assert_array_equal(client.private_values, private)
+
     def test_fedavg_policy_trains_everything(self):
         eng = small_engine(scheme="fedavg")
         client = eng.clients[0]
@@ -397,13 +411,38 @@ class TestRunRound:
         # one model per local update, then one per distinct private slice
         assert len(built) == len(selected) + len(groups)
         assert [m for m, _ in calls] == built[len(selected):]
-        segments = [(s.name, s.length) for s in eng.store.segments]
         for r, c in zip(recs, eng.clients):
-            model = ToyBevt(SMALL, ParamStore(
-                segments, values=eng.personalized_values(c)))
+            model = ToyBevt(SMALL, eng.personal_store(c))
             ref = np.mean([iou(model.forward(p.views, c.rig, c.mask).data,
                                p.bev_gt, c.mask) for p in c.dataset.test])
             assert r.val_iou == float(ref)
+
+    @pytest.mark.parametrize("scheme, owners", [
+        ("fedcap", [[0], [1], [2]]), ("fedavg", [[0, 1, 2]])])
+    def test_round_builds_one_model_per_distinct_slice(self, scheme, owners,
+                                                        monkeypatch):
+        eng = small_engine(scheme=scheme, n_clients=3)
+
+        def no_training(client, lr_u, lr_v, round_no):
+            return federation.ClientUpdate(
+                delta=dense_delta(eng.public_idx,
+                                  np.zeros(eng.public_idx.size)),
+                private_values=client.private_values + 1e-3 * client.client_id,
+                loss=0.0, grad_norm=0.0)
+
+        built = []
+
+        class CountingToyBevt(ToyBevt):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(eng, "local_update", no_training)
+        monkeypatch.setattr(federation, "ToyBevt", CountingToyBevt)
+        eng.run_round()
+        assert len(built) == len(owners)
+        assert [[c.client_id for c in members]
+                for members, _ in eng.personalized_models()] == owners
 
     def test_selection_subset(self):
         eng = small_engine(n_clients=4, rounds=2, select_m=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from camfed import metrics
+from camfed import federation
 from camfed.autodiff import EmptySupportError
 from camfed.federation import ClientState, EngineOptions, FederationEngine
 from camfed.masking import amcm_mask
@@ -280,9 +280,7 @@ class TestCrossEvaluate:
 
     def test_takes_engine_clients(self):
         eng = self.tiny_engine([5, 6])
-        m = cross_evaluate(eng.config,
-                           [(s.name, s.length) for s in eng.store.segments],
-                           eng.store.values, eng.private_idx, eng.clients)
+        m = cross_evaluate(eng.personalized_models(), eng.clients)
         assert m.client_ids == [0, 1]
         assert m.values[1, 1] == eng.evaluate_clients()[1]
 
@@ -290,13 +288,11 @@ class TestCrossEvaluate:
     def per_pair_matrix(engine):
         """A fresh model and one forward per point for every (model,
         testset) pair, nothing shared."""
-        segments = [(s.name, s.length) for s in engine.store.segments]
         n = len(engine.clients)
         out = np.zeros((n, n))
         for j, owner in enumerate(engine.clients):
             for i, data in enumerate(engine.clients):
-                model = ToyBevt(engine.config, ParamStore(
-                    segments, values=engine.personalized_values(owner)))
+                model = ToyBevt(engine.config, engine.personal_store(owner))
                 out[i, j] = reference_iou(model, data)
         return out
 
@@ -313,7 +309,7 @@ class TestCrossEvaluate:
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "ToyBevt", CountingToyBevt)
+        monkeypatch.setattr(federation, "ToyBevt", CountingToyBevt)
         m = self.matrix_of(eng)
         assert len(built) == distinct
         np.testing.assert_array_equal(m.values, self.per_pair_matrix(eng))
