@@ -11,7 +11,6 @@ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
 
 import numpy as np
 
-from camfed import autodiff as ad
 from camfed.masking import amcm_mask
 from camfed.metrics import iou
 from camfed.model import ModelConfig, ToyBevt, init_params
@@ -37,12 +36,11 @@ def main():
             batch = [dataset.train[i] for i in order[lo:lo + 4]]
             model.zero_grads()
             logits = model.forward_batch([p.views for p in batch], rig, mask)
-            per = [model.loss(lg, p.bev_gt, mask)
-                   for lg, p in zip(logits, batch)]
-            total = ad.scale(ad.add_n(per), 1.0 / len(per))
-            model.backward(total, mask)
+            loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
+                              mask)
+            model.backward(loss, mask)
             opt.step(model.params, lr=5e-3)
-            losses.append(total.item())
+            losses.append(loss.item())
         if epoch % 5 == 4:
             scores = [iou(model.forward(p.views, rig, mask).data, p.bev_gt,
                           mask) for p in dataset.test]

@@ -223,30 +223,6 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     return out._attach(bwd)
 
 
-def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("slice_rows expects a 2-D tensor")
-    out = Tensor(a.data[lo:hi], _parents=(a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[lo:hi] = g
-            a._accum(full)
-
-    return out._attach(bwd)
-
-
-def add_n(tensors: list) -> Tensor:
-    """Left-fold sum of a non-empty list of tensors."""
-    if not tensors:
-        raise ValueError("add_n needs at least one tensor")
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = add(acc, t)
-    return acc
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), _parents=(a,))
 
@@ -342,26 +318,31 @@ def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Masked-mean binary cross-entropy on logits.
+    """Masked-mean binary cross-entropy on logits, averaged over samples.
 
-    `targets` and `mask` are plain {0,1} arrays of the same shape as `logits`.
-    Cells with mask == 0 contribute zero loss and exactly zero gradient.
-    Uses the max(z,0) - z*y + log1p(exp(-|z|)) form, so large logits never
-    overflow.
+    `logits` and the {0,1} `targets` are (h, w) for one sample or (n, h, w)
+    for a batch; the {0,1} `mask` is (h, w) and shared by every sample. The
+    result is the mean of the per-sample masked means. Cells with mask == 0
+    contribute zero loss and exactly zero gradient. Uses the
+    max(z,0) - z*y + log1p(exp(-|z|)) form, so large logits never overflow.
     """
     t = _as_f64(targets)
     m = _as_f64(mask)
     z = logits.data
-    if t.shape != z.shape or m.shape != z.shape:
+    if z.ndim not in (2, 3) or t.shape != z.shape or m.shape != z.shape[-2:]:
         raise ValueError("bce_with_logits: shape mismatch")
     count = m.sum()
     if count == 0:
         raise EmptySupportError("bce_with_logits: every cell is masked out")
+    n = z.shape[0] if z.ndim == 3 else 1
     per_cell = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor((per_cell * m).sum() / count, _parents=(logits,))
+    per_sample = (per_cell * m).reshape(n, -1).sum(axis=1) / count
+    # a left fold over the samples, then one scale: the same arithmetic as
+    # summing n single-sample losses and scaling the sum by 1/n
+    out = Tensor(sum(per_sample.tolist()) * (1.0 / n), _parents=(logits,))
 
     def bwd(g):
         if logits.requires_grad:
-            logits._accum(float(g) * (_sigmoid(z) - t) * m / count)
+            logits._accum(float(g) * (1.0 / n) * (_sigmoid(z) - t) * m / count)
 
     return out._attach(bwd)

@@ -291,11 +291,17 @@ def cross_eval_matrix(engine: FederationEngine) -> CrossEvalMatrix:
     return cross_evaluate(engine.personalized_models(), engine.clients)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
     """Execute the round loop and write all artifacts into out_dir.
 
     Returns (engine, report dict).
     """
+    _check_workers(workers)
     engine = build_engine(config)      # rejects bad settings before any write
     os.makedirs(out_dir, exist_ok=True)
     config.save_json(os.path.join(out_dir, "config.json"))
@@ -342,6 +348,7 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir,
     Every value's config is checked before the first run starts, so a bad
     later value costs no training and leaves no directory behind.
     """
+    _check_workers(workers)
     if axis not in SWEEPABLE:
         raise ValueError(f"axis must be one of {SWEEPABLE}")
     if not values:

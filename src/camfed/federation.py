@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .masking import amcm_mask
 from .metrics import mean_ious
 from .model import ModelConfig, PartitionPolicy, ToyBevt, init_params, split_params
@@ -241,11 +240,10 @@ class FederationEngine:
         model.zero_grads()
         logits = model.forward_batch([p.views for p in batch], client.rig,
                                      client.mask)
-        losses = [model.loss(lg, p.bev_gt, client.mask)
-                  for lg, p in zip(logits, batch)]
-        total = ad.scale(ad.add_n(losses), 1.0 / len(losses))
-        model.backward(total, client.mask)
-        return total.item()
+        loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
+                          client.mask)
+        model.backward(loss, client.mask)
+        return loss.item()
 
     def local_update(self, client: ClientState, lr_u: float, lr_v: float,
                      round_no: int) -> ClientUpdate:

@@ -58,8 +58,8 @@ def mean_ious(model: ToyBevt, clients: list) -> list:
                 chunk = jobs[lo:lo + EVAL_CHUNK]
                 logits = model.forward_batch([p.views for _, p in chunk],
                                              rig, mask)
-                for (k, p), lg in zip(chunk, logits):
-                    scores[k].append(iou(lg.data, p.bev_gt, mask))
+                for (k, p), lg in zip(chunk, logits.data):
+                    scores[k].append(iou(lg, p.bev_gt, mask))
     return [float(np.mean(s)) if s else float("nan") for s in scores]
 
 

@@ -176,24 +176,17 @@ N_POS_FEATURES = 3
 
 
 def ray_features(rig: CameraRig, n_bins: int) -> np.ndarray:
-    """Per-token ray geometry in the vehicle frame, (L*A, 6).
+    """Per-token ray directions in the vehicle frame, (L*A, 3).
 
-    Each row is [vehicle-frame ray direction (3), camera translation (3)];
-    the translation is the mount point (0, 0, height). The embedding MLP
-    consumes only the direction columns: mount height is deliberately not an
-    input, so a client's embedding parameters are the only place where that
-    part of the calibration can live. Two rigs that differ only in height
-    produce identical embedding inputs but differently distributed view
-    features, which is what makes the embedding worth personalizing.
+    These are the embedding MLP's only input: mount height is deliberately
+    not one, so a client's embedding parameters are the only place where
+    that part of the calibration can live. Two rigs that differ only in
+    height produce identical embedding inputs but differently distributed
+    view features, which is what makes the embedding worth personalizing.
     """
-    rows = []
     dirs_cam = camera_ray_directions(n_bins)
-    for cam in rig.cameras:
-        rot = pose_rotation(cam.roll, cam.pitch, cam.yaw)
-        dirs_veh = dirs_cam @ rot.T
-        t = np.array([0.0, 0.0, cam.height], dtype=np.float64)
-        rows.append(np.hstack([dirs_veh, np.tile(t, (n_bins, 1))]))
-    return np.vstack(rows)
+    return np.vstack([dirs_cam @ pose_rotation(c.roll, c.pitch, c.yaw).T
+                      for c in rig.cameras])
 
 
 N_CELL_FEATURES = 5
@@ -369,7 +362,7 @@ class ToyBevt:
     def _pos_tokens(self, rig: CameraRig) -> Tensor:
         """Positional embedding for the active (in-FoV) bins only."""
         rays, active = self._rig_geometry(rig)
-        geo = ad.constant(rays[active][:, :N_POS_FEATURES])
+        geo = ad.constant(rays[active])
         return self._mlp(geo, "pos_embed")
 
     def forward(self, views: np.ndarray, rig: CameraRig,
@@ -379,11 +372,13 @@ class ToyBevt:
         The mask only gates the loss/metrics side; logits are produced for
         every cell so the output shape is rig-independent.
         """
-        return self.forward_batch([views], rig, mask)[0]
+        return ad.reshape(self.forward_batch([views], rig, mask),
+                          self.config.bev_grid)
 
     def forward_batch(self, views_list: list, rig: CameraRig,
-                      mask: np.ndarray | None = None) -> list:
-        """Logits for several data points of the same rig in one graph.
+                      mask: np.ndarray | None = None) -> Tensor:
+        """Logits for several data points of the same rig in one graph,
+        shape (len(views_list), *bev_grid).
 
         The positional branch and all parameter leaves are shared across the
         batch, and the row-wise stages (encoder, refine, decoder) run on the
@@ -401,7 +396,6 @@ class ToyBevt:
             raise ValueError("mask shape must equal bev_grid")
 
         _, active = self._rig_geometry(rig)
-        n_cells = cfg.n_query_cells
         batch = len(views_list)
         stacked = np.concatenate(
             [v.reshape(len(active), cfg.token_dim)[active]
@@ -432,13 +426,11 @@ class ToyBevt:
 
         qs = ad.layer_norm(ad.add(q, self._mlp(q, "refine")))
         logits_all = self._mlp(qs, "decoder")
-        return [ad.reshape(ad.slice_rows(logits_all, b * n_cells,
-                                         (b + 1) * n_cells), cfg.bev_grid)
-                for b in range(batch)]
+        return ad.reshape(logits_all, (batch, *cfg.bev_grid))
 
-    def loss(self, logits: Tensor, target: np.ndarray,
+    def loss(self, logits: Tensor, targets: np.ndarray,
              mask: np.ndarray) -> Tensor:
-        return ad.bce_with_logits(logits, target, mask)
+        return ad.bce_with_logits(logits, targets, mask)
 
     # -- gradient plumbing ---------------------------------------------------
 
@@ -449,8 +441,7 @@ class ToyBevt:
     def backward(self, loss: Tensor, mask: np.ndarray | None = None) -> None:
         """Backprop and scatter gradients into params.grads.
 
-        Accumulates across every forward() since the last zero_grads(), so a
-        mean-of-losses batch works out of the box.
+        Accumulates across every forward() since the last zero_grads().
         """
         loss.backward()
         for sl, leaf in self._leaves:

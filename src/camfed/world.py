@@ -18,7 +18,6 @@ into the elevation bin selected by the camera-frame elevation of the object
 base, so camera height and pitch both move features around.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -95,7 +94,6 @@ class Scene:
 class DataPoint:
     views: np.ndarray   # (L, A, E, C) float64
     bev_gt: np.ndarray  # (h, w) {0,1} float64
-    scene: Scene
 
 
 @dataclass
@@ -261,51 +259,5 @@ def build_client_dataset(rig: CameraRig, n_points: int, seed: int,
         scene = sample_scene(rng, n_objects=n_objects, extent=extent,
                              radius_range=radius_range)
         points.append(DataPoint(views=render_views(scene, rig),
-                                bev_gt=rasterize_bev(scene, grid, extent),
-                                scene=scene))
+                                bev_gt=rasterize_bev(scene, grid, extent)))
     return ClientDataset(points=points, n_train=int(0.8 * n_points))
-
-
-def dump_dataset(dataset: ClientDataset, rig: CameraRig, path,
-                 grid=(16, 16), extent: float = DEFAULT_EXTENT) -> None:
-    """Write scenes + rig as JSON; views/grids are re-rendered on load."""
-    doc = {
-        "rig": {
-            "name": rig.name,
-            "cameras": [
-                {"height": c.height, "roll": c.roll, "pitch": c.pitch,
-                 "yaw": c.yaw, "fov_azimuth": c.fov_azimuth,
-                 "n_azimuth_bins": c.n_azimuth_bins,
-                 "n_elevation_bins": c.n_elevation_bins}
-                for c in rig.cameras
-            ],
-        },
-        "grid": list(grid),
-        "extent": extent,
-        "n_train": dataset.n_train,
-        "scenes": [{"extent": p.scene.extent,
-                    "objects": [list(o) for o in p.scene.objects]}
-                   for p in dataset.points],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def load_dataset(path):
-    """Inverse of dump_dataset; returns (ClientDataset, CameraRig)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rig = CameraRig(
-        cameras=tuple(CameraPose(**cam) for cam in doc["rig"]["cameras"]),
-        name=doc["rig"]["name"],
-    )
-    grid = tuple(doc["grid"])
-    extent = doc["extent"]
-    points = []
-    for s in doc["scenes"]:
-        scene = Scene(objects=tuple(tuple(o) for o in s["objects"]),
-                      extent=s["extent"])
-        points.append(DataPoint(views=render_views(scene, rig),
-                                bev_gt=rasterize_bev(scene, grid, extent),
-                                scene=scene))
-    return ClientDataset(points=points, n_train=doc["n_train"]), rig

@@ -1,12 +1,15 @@
 """The demos import cleanly and use only engine attributes that exist.
 
 No demo's main() runs here: they take minutes. Instead every demo module is
-imported, and a stdlib-`ast` pass finds each name bound to a
-`build_engine(...)` result and checks every attribute read on it against a
-real FederationEngine.
+imported, and two stdlib-`ast` passes check the attributes a demo reads only
+when it runs: those read on a name bound to a `build_engine(...)` result,
+against a real FederationEngine, and those read on a camfed module bound by
+an import (`from camfed import autodiff as ad` ... `ad.add`), against that
+module.
 """
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -32,6 +35,40 @@ def engine_attribute_reads(source: str) -> list:
                   if isinstance(node, ast.Attribute)
                   and isinstance(node.value, ast.Name)
                   and node.value.id in engines)
+
+
+def _is_module(dotted: str) -> bool:
+    try:
+        importlib.import_module(dotted)
+    except ImportError:
+        return False
+    return True
+
+
+def module_attribute_reads(source: str) -> list:
+    """(line, module, attribute) for each `name.attribute` read anywhere in
+    the file, where an import binds `name` to a camfed module."""
+    nodes = list(ast.walk(ast.parse(source)))
+    modules = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "camfed":
+                    # `import camfed.x` binds `camfed`; `import camfed.x as y`
+                    # binds y to camfed.x
+                    modules[a.asname or "camfed"] = (a.name if a.asname
+                                                     else "camfed")
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "camfed"):
+            for a in node.names:
+                dotted = f"{node.module}.{a.name}"
+                if _is_module(dotted):
+                    modules[a.asname or a.name] = dotted
+    return sorted((node.lineno, modules[node.value.id], node.attr)
+                  for node in nodes
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules)
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +109,28 @@ def test_checker_flags_a_removed_method(engine):
     reads = engine_attribute_reads(source)
     assert reads == [(3, "run"), (4, "clients"), (4, "evaluate_client")]
     assert [a for _, a in reads if not hasattr(engine, a)] == ["evaluate_client"]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_reads_only_existing_module_attributes(path):
+    missing = [f"{path.name}:{line} {module}.{attr}"
+               for line, module, attr in module_attribute_reads(
+                   path.read_text())
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+def test_checker_flags_a_removed_module_attribute():
+    source = ("import camfed.world as w\n"
+              "from camfed import autodiff as ad\n"
+              "from camfed.model import ToyBevt\n"
+              "def main(x, model):\n"
+              "    rig = w.rig_from_preset('car')\n"
+              "    model.forward_batch([x], rig)\n"
+              "    return ad.add_n([ad.add(x, x), ToyBevt.loss])\n")
+    reads = module_attribute_reads(source)
+    assert reads == [(5, "camfed.world", "rig_from_preset"),
+                     (7, "camfed.autodiff", "add"),
+                     (7, "camfed.autodiff", "add_n")]
+    assert [a for _, m, a in reads
+            if not hasattr(importlib.import_module(m), a)] == ["add_n"]

@@ -232,6 +232,21 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "rounds.csv").read_bytes() == \
             (tmp_path / "b" / "rounds.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    @pytest.mark.parametrize("entry", ["run", "sweep"])
+    def test_workers_below_one_fail_before_any_dataset(self, entry, workers,
+                                                       tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiments, "build_client_dataset",
+                            lambda *a, **k: built.append(a))
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            if entry == "run":
+                run_experiment(tiny_config(), out, workers=workers)
+            else:
+                sweep(tiny_config(), "select_m", [1], out, workers=workers)
+        assert built == [] and not out.exists()
+
     def test_schemes_share_schema(self, tmp_path):
         _, rep_a = run_experiment(tiny_config(scheme="fedavg"),
                                   tmp_path / "a")
@@ -445,6 +460,22 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: scale must be finite and > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_workers_below_one_exit_1_without_artifacts(self, command, workers,
+                                                         tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        tiny_config().save_json(cfg_path)
+        out = tmp_path / "o"
+        argv = {"run": ["run"],
+                "sweep": ["sweep", "--axis", "select_m", "--values", "1"]}
+        code = cli_main(argv[command] + ["--config", str(cfg_path), "--out",
+                                         str(out), "--workers", workers])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: workers must be >= 1, got {workers}\n")
         assert not out.exists()
 
     def test_bad_log_level_exits_1(self, capsys, monkeypatch):

@@ -254,7 +254,6 @@ class TestLocalUpdate:
         client = eng.clients[0]
 
         # oracle: rebuild the same model and compute one batch gradient
-        from camfed import autodiff as ad
         from camfed.model import ToyBevt
         from camfed.params import ParamStore
         from camfed.seeding import derive_rng
@@ -267,9 +266,8 @@ class TestLocalUpdate:
         model.zero_grads()
         logits = model.forward_batch([p.views for p in batch], client.rig,
                                      client.mask)
-        losses = [model.loss(lg, p.bev_gt, client.mask)
-                  for lg, p in zip(logits, batch)]
-        ad.scale(ad.add_n(losses), 1.0 / len(losses)).backward()
+        model.loss(logits, np.stack([p.bev_gt for p in batch]),
+                   client.mask).backward()
         for sl, leaf in model._leaves:
             if leaf.grad is not None:
                 local.grads[sl] += leaf.grad.ravel()

@@ -101,10 +101,9 @@ class TestGeometry:
         pose = CameraPose(height=2.0, roll=0.0, pitch=0.0, yaw=0.0)
         rig = CameraRig(cameras=(pose,), name="custom")
         feats = ray_features(rig, 8)
-        np.testing.assert_allclose(feats[:, :3], camera_ray_directions(8),
+        assert feats.shape == (8, 3)
+        np.testing.assert_allclose(feats, camera_ray_directions(8),
                                    atol=1e-15)
-        np.testing.assert_allclose(feats[:, 3:], [[0.0, 0.0, 2.0]] * 8,
-                                   atol=0)
 
     def test_yaw_180_negates_xy(self):
         rig = CameraRig(cameras=(CameraPose(height=1.0, yaw=180.0),),
@@ -141,8 +140,8 @@ class TestGeometry:
                           name="custom")
         rig_b = CameraRig(cameras=(CameraPose(height=1.5, yaw=10.0 + delta),),
                           name="custom")
-        rays_a = ray_features(rig_a, n_bins)[:, :3]
-        rays_b = ray_features(rig_b, n_bins)[:, :3]
+        rays_a = ray_features(rig_a, n_bins)
+        rays_b = ray_features(rig_b, n_bins)
         order = lambda r: np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
         np.testing.assert_allclose(rays_a[order(rays_a)], rays_b[order(rays_b)],
                                    atol=1e-12)
@@ -154,6 +153,17 @@ class TestForward:
         model = ToyBevt(SMALL, seed=0)
         logits = model.forward(views, rig)
         assert logits.shape == SMALL.bev_grid
+
+    def test_batch_is_one_tensor_whose_rows_equal_single_forwards(self):
+        model = ToyBevt(SMALL, seed=0)
+        rig = small_rig()
+        views = [small_sample(seed=s)[1] for s in range(3)]
+        mask = np.ones(SMALL.bev_grid)
+        logits = model.forward_batch(views, rig, mask)
+        assert logits.shape == (3, *SMALL.bev_grid)
+        for row, v in zip(logits.data, views):
+            np.testing.assert_array_equal(row,
+                                          model.forward(v, rig, mask).data)
 
     def test_too_many_cameras(self):
         cfg = ModelConfig(feat_dim=8, bev_grid=(8, 8), max_cameras=1,

@@ -5,9 +5,8 @@ import pytest
 
 from camfed import world
 from camfed.world import (CameraPose, CameraRig, Scene, azimuth_bin_angles,
-                          build_client_dataset, dump_dataset, load_dataset,
-                          rasterize_bev, ray_hit, render_views, rig_from_preset,
-                          sample_scene)
+                          build_client_dataset, rasterize_bev, ray_hit,
+                          render_views, rig_from_preset, sample_scene)
 
 
 class TestRigPresets:
@@ -182,18 +181,6 @@ class TestClientDataset:
         b = build_client_dataset(rig, 5, seed=2)
         assert any(not np.array_equal(pa.views, pb.views)
                    for pa, pb in zip(a.points, b.points))
-
-    def test_dump_load_roundtrip(self, tmp_path):
-        rig = rig_from_preset("truck")
-        ds = build_client_dataset(rig, 6, seed=9)
-        path = tmp_path / "ds.json"
-        dump_dataset(ds, rig, path)
-        loaded, rig2 = load_dataset(path)
-        assert rig2 == rig
-        assert loaded.n_train == ds.n_train
-        for pa, pb in zip(ds.points, loaded.points):
-            assert np.array_equal(pa.views, pb.views)
-            assert np.array_equal(pa.bev_gt, pb.bev_gt)
 
 
 class TestYawEquivariance:
