@@ -1,5 +1,10 @@
 """Train the toy BEV transformer on one client's local data and watch the
-masked cross-entropy fall and the IoU rise.
+masked cross-entropy fall.
+
+Every fifth epoch prints the test IoU next to the IoU of a model that never
+predicts a vehicle: it scores 1 on a test point with no vehicle in view
+and 0 on any other. A test IoU at that baseline means the model still
+predicts no vehicle anywhere; 30 epochs on one client do not leave it.
 
 Run:  python demos/local_training.py
 """
@@ -27,6 +32,8 @@ def main():
     opt = AdamW(model.params.n)
     rng = np.random.default_rng(0)
 
+    no_vehicle = np.full(config.bev_grid, -1.0)
+    baseline = np.mean([iou(no_vehicle, p.bev_gt, mask) for p in dataset.test])
     print(f"{len(dataset.train)} train / {len(dataset.test)} test points, "
           f"{model.params.n} parameters")
     for epoch in range(30):
@@ -38,14 +45,15 @@ def main():
             logits = model.forward_batch([p.views for p in batch], rig, mask)
             loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
                               mask)
-            model.backward(loss, mask)
+            model.backward(loss)
             opt.step(model.params, lr=5e-3)
             losses.append(loss.item())
         if epoch % 5 == 4:
             scores = [iou(model.forward(p.views, rig, mask).data, p.bev_gt,
                           mask) for p in dataset.test]
             print(f"epoch {epoch + 1:3d}: loss {np.mean(losses):.4f}  "
-                  f"test IoU {np.mean(scores):.4f}")
+                  f"test IoU {np.mean(scores):.4f} "
+                  f"(no-vehicle baseline {baseline:.4f})")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from camfed.federation import compress_topk, dense_delta
 from camfed.model import ModelConfig
 
 
-def tiny(**overrides):
+def tiny(**changes):
     base = dict(
         name="netdemo", scheme="fedavg", rounds=12, warmup_rounds=4,
         lr_u=1e-2, lr_v=1e-2, seed=9,
@@ -24,7 +24,7 @@ def tiny(**overrides):
         model=ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2,
                           encoder_hidden=8, decoder_hidden=8,
                           n_azimuth_bins=12, n_elevation_bins=2))
-    base.update(overrides)
+    base.update(changes)
     return ExperimentConfig(**base)
 
 

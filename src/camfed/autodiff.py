@@ -260,14 +260,13 @@ def tile_rows(a: Tensor, reps: int) -> Tensor:
 
 
 def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
-                            n_heads: int, batch: int,
-                            q_shared: bool = True) -> Tensor:
+                            n_heads: int, batch: int) -> Tensor:
     """Scaled-dot-product attention over `batch` samples and `n_heads` heads.
 
-    qp is the projected query, either (n_q, f) shared by every sample
-    (q_shared=True) or (batch*n_q, f) per sample. kp / vp are the projected
-    keys and values stacked per sample, (batch*n_k, f). Heads are contiguous
-    column blocks of width f // n_heads. Returns (batch*n_q, f).
+    qp is the projected query, (n_q, f), shared by every sample. kp / vp are
+    the projected keys and values stacked per sample, (batch*n_k, f). Heads
+    are contiguous column blocks of width f // n_heads. Returns
+    (batch*n_q, f).
 
     One fused op instead of per-head slice/matmul/softmax chains: the whole
     batch runs as a handful of broadcasted 3-D matmuls.
@@ -277,14 +276,10 @@ def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
         raise ValueError("feature dim must divide by n_heads")
     dh = f // n_heads
     n_k = kp.data.shape[0] // batch
-    n_q = qp.data.shape[0] if q_shared else qp.data.shape[0] // batch
+    n_q = qp.data.shape[0]
     scale_f = 1.0 / math.sqrt(dh)
 
-    if q_shared:
-        q3 = qp.data.reshape(n_q, n_heads, dh).transpose(1, 0, 2)   # (H,nq,dh)
-        q4 = q3[None]                                               # (1,H,nq,dh)
-    else:
-        q4 = qp.data.reshape(batch, n_q, n_heads, dh).transpose(0, 2, 1, 3)
+    q4 = qp.data.reshape(n_q, n_heads, dh).transpose(1, 0, 2)[None]  # (1,H,nq,dh)
     k4 = kp.data.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
     v4 = vp.data.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
 
@@ -305,11 +300,8 @@ def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
         gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True))
         gs *= scale_f
         if qp.requires_grad:
-            gq = gs @ k4                                            # (B,H,nq,dh)
-            if q_shared:
-                qp._accum(gq.sum(axis=0).transpose(1, 0, 2).reshape(n_q, f))
-            else:
-                qp._accum(gq.transpose(0, 2, 1, 3).reshape(batch * n_q, f))
+            gq = (gs @ k4).sum(axis=0)                              # (H,nq,dh)
+            qp._accum(gq.transpose(1, 0, 2).reshape(n_q, f))
         if kp.requires_grad:
             gk = gs.transpose(0, 1, 3, 2) @ q4                      # (B,H,nk,dh)
             kp._accum(gk.transpose(0, 2, 1, 3).reshape(batch * n_k, f))

@@ -24,7 +24,7 @@ from .model import load_checkpoint
 log = logging.getLogger("camfed")
 
 
-def _apply_overrides(config, seed, scale):
+def _apply_seed_and_scale(config, seed, scale):
     if seed is not None:
         config.seed = int(seed)
     if scale is not None and scale != 1.0:
@@ -34,8 +34,8 @@ def _apply_overrides(config, seed, scale):
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(ExperimentConfig.from_json(args.config),
-                              args.seed, args.scale)
+    config = _apply_seed_and_scale(ExperimentConfig.from_json(args.config),
+                                   args.seed, args.scale)
     log.info("running %s (%d clients, %d rounds) -> %s",
              config.name, len(config.clients), config.rounds, args.out)
     engine, report = run_experiment(config, args.out, workers=args.workers)
@@ -56,8 +56,8 @@ def cmd_preset(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _apply_overrides(ExperimentConfig.from_json(args.config),
-                              args.seed, args.scale)
+    config = _apply_seed_and_scale(ExperimentConfig.from_json(args.config),
+                                   args.seed, args.scale)
     values = [float(v) if "." in v else int(v)
               for v in args.values.split(",") if v != ""]
     rows = sweep(config, args.axis, values, args.out, workers=args.workers)

@@ -24,7 +24,6 @@ from .metrics import (CrossEvalMatrix, EvalReport, cross_evaluate,
                       rounds_to_target)
 from .model import (ModelConfig, PartitionPolicy, check_field_types,
                     save_checkpoint)
-from .netsim import NetworkProfile
 from .seeding import derive_seed
 from .world import build_client_dataset, rig_from_preset
 
@@ -57,7 +56,6 @@ class ExperimentConfig:
     select_m: int | None = None
     topk_retention: float = 1.0
     straggler_ratio: float = 0.0
-    straggler_mode: str = "iid"
     amcm: bool = True
     optimizer: str = "adamw"
     bits_budget: int | None = None
@@ -197,28 +195,25 @@ PRESET_NAMES = ("uc1", "uc2", "uc3", "uc4", "uc5")
 # ---------------------------------------------------------------------------
 
 def engine_settings(config: ExperimentConfig):
-    """Validate `config`; return its partition policy, engine options and
-    network profile, which check their own ranges. Builds no dataset."""
+    """Validate `config`; return its partition policy and engine options,
+    which check their own ranges. Builds no dataset."""
     config.validate()
     policy = PartitionPolicy.from_scheme(config.scheme)
     options = EngineOptions(
         optimizer=config.optimizer, lr_u=config.lr_u, lr_v=config.lr_v,
         warmup_rounds=config.warmup_rounds,
         topk_retention=config.topk_retention, select_m=config.select_m,
-        use_amcm=config.amcm)
-    network = NetworkProfile(straggler_ratio=config.straggler_ratio,
-                             mode=config.straggler_mode,
-                             bits_budget=config.bits_budget)
-    return policy, options, network
+        use_amcm=config.amcm, straggler_ratio=config.straggler_ratio,
+        bits_budget=config.bits_budget)
+    return policy, options
 
 
-def build_engine(config: ExperimentConfig,
-                 keep_deltas: bool = False) -> FederationEngine:
+def build_engine(config: ExperimentConfig) -> FederationEngine:
     """Materialize datasets and client states, returning a ready engine.
 
     Settings are checked first, fields set after construction included.
     """
-    policy, options, network = engine_settings(config)
+    policy, options = engine_settings(config)
     mc = config.model
     clients = []
     for idx, spec in enumerate(config.clients):
@@ -235,8 +230,7 @@ def build_engine(config: ExperimentConfig,
             seed=seed, local_epochs=spec.local_epochs,
             batch_size=config.batch_size))
     return FederationEngine(mc, policy, clients, total_rounds=config.rounds,
-                            master_seed=config.seed, options=options,
-                            network=network, keep_deltas=keep_deltas)
+                            master_seed=config.seed, options=options)
 
 
 def write_rounds_csv(records, ledger, path) -> None:
@@ -282,7 +276,6 @@ def summarize(engine: FederationEngine, config: ExperimentConfig) -> dict:
         "rounds_completed": engine.round,
         "total_bits_up": engine.ledger.total_up,
         "total_bits_down": engine.ledger.total_down,
-        "hooks": engine.hooks,
         "clients": [dataclasses.asdict(r) for r in per_client],
     }
 

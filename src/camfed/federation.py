@@ -22,7 +22,7 @@ import numpy as np
 from .masking import amcm_mask
 from .metrics import mean_ious
 from .model import ModelConfig, PartitionPolicy, ToyBevt, init_params, split_params
-from .netsim import CommLedger, NetworkProfile, StragglerPlan
+from .netsim import CommLedger, StragglerPlan
 from .optim import AdamW, NonFiniteGradientError, sgd_step
 from .params import ParamStore
 from .seeding import derive_rng, derive_seed
@@ -69,15 +69,6 @@ def compress_topk(delta: Delta, retention: float) -> Delta:
     keep = np.sort(order[:k])
     return Delta(indices=delta.indices[keep], values=delta.values[keep],
                  dense=False, bits_upload=k * (INDEX_BITS + VALUE_BITS))
-
-
-def secure_agg_stub(deltas):
-    """Identity transport hook standing in for a secure-aggregation protocol.
-
-    Exists so compress -> secure -> aggregate stays a single interception
-    pipeline; the engine's telemetry marks it as a stub.
-    """
-    return list(deltas)
 
 
 def client_selection(client_ids, m: int, rng: np.random.Generator):
@@ -174,12 +165,16 @@ class EngineOptions:
     topk_retention: float = 1.0
     select_m: int | None = None
     use_amcm: bool = True
+    straggler_ratio: float = 0.0
+    bits_budget: int | None = None
 
     def __post_init__(self):
         if self.optimizer not in ("adamw", "sgd"):
             raise ValueError("optimizer must be 'adamw' or 'sgd'")
         if not (0.0 < self.topk_retention <= 1.0):
             raise ValueError("topk_retention must be in (0, 1]")
+        if not (0.0 <= self.straggler_ratio < 1.0):
+            raise ValueError("straggler_ratio must be in [0, 1)")
 
 
 class FederationEngine:
@@ -187,15 +182,12 @@ class FederationEngine:
 
     def __init__(self, model_config: ModelConfig, policy: PartitionPolicy,
                  clients: list, total_rounds: int, master_seed: int,
-                 options: EngineOptions | None = None,
-                 network: NetworkProfile | None = None,
-                 keep_deltas: bool = False):
+                 options: EngineOptions | None = None):
         if not clients:
             raise ValueError("need at least one client")
         self.config = model_config
         self.policy = policy
         self.options = options or EngineOptions()
-        self.network = network or NetworkProfile()
         self.total_rounds = total_rounds
         self.master_seed = master_seed
         self.clients = sorted(clients, key=lambda c: c.client_id)
@@ -208,13 +200,8 @@ class FederationEngine:
         self.round = 0
         self.ledger = CommLedger()
         self.records: list = []
-        self.delta_log: list | None = [] if keep_deltas else None
-        self.straggler_plan = StragglerPlan(self.network, ids, master_seed)
-        self.hooks = {
-            "secure_aggregation": "identity-stub",
-            "compression": ("topk" if self.options.topk_retention < 1.0
-                            else "none"),
-        }
+        self.straggler_plan = StragglerPlan(self.options.straggler_ratio,
+                                            master_seed)
 
         for c in self.clients:
             if len(c.dataset.train) == 0:
@@ -242,7 +229,7 @@ class FederationEngine:
                                      client.mask)
         loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
                           client.mask)
-        model.backward(loss, client.mask)
+        model.backward(loss)
         return loss.item()
 
     def local_update(self, client: ClientState, lr_u: float, lr_v: float,
@@ -343,12 +330,8 @@ class FederationEngine:
         deltas = {cid: compress_topk(updates[cid].delta, opts.topk_retention)
                   for cid in uploaders}
 
-        transported = secure_agg_stub([deltas[cid] for cid in survivors])
-        entries = [(cid, d, float(by_id[cid].n_points))
-                   for cid, d in zip(survivors, transported)]
-        if self.delta_log is not None:
-            self.delta_log.extend((t, cid, d) for cid, d, _ in entries)
-
+        entries = [(cid, deltas[cid], float(by_id[cid].n_points))
+                   for cid in survivors]
         if entries:
             self.store.values = aggregate(entries, self.store.values,
                                           self.public_idx)
@@ -386,6 +369,6 @@ class FederationEngine:
             self.run_round(workers=workers)
             if on_round is not None:
                 on_round(self)
-            if self.ledger.over_budget(self.network.bits_budget):
+            if self.ledger.over_budget(self.options.bits_budget):
                 break
         return self.records

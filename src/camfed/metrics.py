@@ -70,12 +70,10 @@ class CrossEvalMatrix:
     values: np.ndarray
 
     def diagonal_is_row_max(self) -> int:
-        """Number of rows whose diagonal entry is the row maximum."""
-        count = 0
-        for i in range(len(self.client_ids)):
-            if self.values[i, i] >= self.values[i].max():
-                count += 1
-        return count
+        """Number of rows whose diagonal entry is strictly greater than every
+        other entry of the row; a tie is not a win."""
+        return sum(bool((row[i] > np.delete(row, i)).all())
+                   for i, row in enumerate(self.values))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

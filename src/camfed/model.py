@@ -27,7 +27,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masking import apply_mask
 from .params import ParamStore
 from .world import CameraRig, azimuth_bin_angles, cell_centers, in_fov_bins
 
@@ -78,7 +77,6 @@ class ModelConfig:
     feat_dim: int = 16
     bev_grid: tuple = (16, 16)
     n_heads: int = 2
-    n_attn_layers: int = 1
     encoder_hidden: int = 32
     decoder_hidden: int = 32
     pos_hidden: int = 16
@@ -224,22 +222,18 @@ def _mlp_entries(prefix: str, dims: list) -> list:
 def build_layout(config: ModelConfig) -> dict:
     """Map segment name -> ordered list of (key, shape) arrays."""
     f = config.feat_dim
-    layout = {
+    return {
         "encoder": _mlp_entries("encoder", [config.token_dim, config.encoder_hidden, f]),
         "pos_embed": _mlp_entries("pos_embed",
                                   [N_POS_FEATURES, config.pos_hidden, f]),
         "bev_query": [("bev_query.q", (config.n_query_cells, f))],
-        "attention": [],
+        "attention": [("attention.wc", (N_CELL_FEATURES, f)),
+                      ("attention.wq", (f, f)), ("attention.wk", (f, f)),
+                      ("attention.wv", (f, f)), ("attention.wo", (f, f)),
+                      ("attention.bo", (f,))],
         "refine": _mlp_entries("refine", [f, f, f]),
         "decoder": _mlp_entries("decoder", [f, config.decoder_hidden, 1]),
     }
-    for layer in range(config.n_attn_layers):
-        p = f"attention.l{layer}"
-        layout["attention"] += [(f"{p}.wc", (N_CELL_FEATURES, f)),
-                                (f"{p}.wq", (f, f)), (f"{p}.wk", (f, f)),
-                                (f"{p}.wv", (f, f)), (f"{p}.wo", (f, f)),
-                                (f"{p}.bo", (f,))]
-    return layout
 
 
 def init_params(config: ModelConfig, seed: int) -> ParamStore:
@@ -281,10 +275,9 @@ class ToyBevt:
     """Five-stage camera-to-BEV model over a ParamStore.
 
     forward() builds a fresh graph whose leaves wrap the store's current
-    values; backward() scatters leaf gradients back into store.grads and,
-    when a mask is given, zeroes the query-grid gradient rows of inactive
-    cells. Inside `_constants()` the values enter as constants instead, so
-    a forward builds no graph and records no leaves.
+    values; backward() scatters leaf gradients back into store.grads.
+    Inside `_constants()` the values enter as constants instead, so a
+    forward builds no graph and records no leaves.
     """
 
     def __init__(self, config: ModelConfig, params: ParamStore | None = None,
@@ -404,25 +397,17 @@ class ToyBevt:
         pos = ad.tile_rows(self._pos_tokens(rig), batch)
         tok = ad.layer_norm(ad.add(enc_all, pos))     # (batch*n_tok, f)
 
-        q = self._leaf("bev_query.q")                 # shared until layer 1
-        q_shared = True
-        cellf = ad.constant(self._cell_features)
-        for layer in range(cfg.n_attn_layers):
-            p = f"attention.l{layer}"
-            geo = ad.matmul(cellf, self._leaf(f"{p}.wc"))
-            if not q_shared:
-                geo = ad.tile_rows(geo, batch)
-            q = ad.add(q, geo)      # anchor each query row to its cell
-            qp = ad.matmul(q, self._leaf(f"{p}.wq"))
-            kp = ad.matmul(tok, self._leaf(f"{p}.wk"))
-            vp = ad.matmul(tok, self._leaf(f"{p}.wv"))
-            attn = ad.batched_cross_attention(qp, kp, vp, cfg.n_heads, batch,
-                                              q_shared=q_shared)
-            attn = ad.affine(attn, self._leaf(f"{p}.wo"),
-                             self._leaf(f"{p}.bo"))
-            residual = ad.tile_rows(q, batch) if q_shared else q
-            q = ad.layer_norm(ad.add(residual, attn))
-            q_shared = False
+        q = self._leaf("bev_query.q")       # (n_cells, f), shared by the batch
+        geo = ad.matmul(ad.constant(self._cell_features),
+                        self._leaf("attention.wc"))
+        q = ad.add(q, geo)                  # anchor each query row to its cell
+        qp = ad.matmul(q, self._leaf("attention.wq"))
+        kp = ad.matmul(tok, self._leaf("attention.wk"))
+        vp = ad.matmul(tok, self._leaf("attention.wv"))
+        attn = ad.affine(ad.batched_cross_attention(qp, kp, vp, cfg.n_heads,
+                                                    batch),
+                         self._leaf("attention.wo"), self._leaf("attention.bo"))
+        q = ad.layer_norm(ad.add(ad.tile_rows(q, batch), attn))
 
         qs = ad.layer_norm(ad.add(q, self._mlp(q, "refine")))
         logits_all = self._mlp(qs, "decoder")
@@ -438,21 +423,19 @@ class ToyBevt:
         self.params.zero_grads()
         self._leaves.clear()
 
-    def backward(self, loss: Tensor, mask: np.ndarray | None = None) -> None:
+    def backward(self, loss: Tensor) -> None:
         """Backprop and scatter gradients into params.grads.
 
         Accumulates across every forward() since the last zero_grads().
+        A query cell that the loss masks out gets exactly zero gradient:
+        each query row reaches only its own cell's logit (attention mixes
+        the keys, not the queries, and every later stage is row-wise).
         """
         loss.backward()
         for sl, leaf in self._leaves:
             if leaf.grad is not None:
                 self.params.grads[sl] += leaf.grad.ravel()
         self._leaves.clear()
-        if mask is not None:
-            qsl = self.params.slice_of("bev_query")
-            g = self.params.grads[qsl].reshape(self.config.n_query_cells,
-                                               self.config.feat_dim)
-            self.params.grads[qsl] = apply_mask(g, mask).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from camfed import autodiff as ad
+from camfed import federation
 from camfed.autodiff import Tensor
 from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
                                 cross_eval_matrix, preset, run_experiment)
 from camfed.federation import (ClientState, EngineOptions, FederationEngine,
                                aggregate, compress_topk, dense_delta,
                                lr_schedule)
-from camfed.masking import amcm_mask, apply_mask
+from camfed.masking import amcm_mask
 from camfed.metrics import convergence_diagnostic, iou
 from camfed.model import (ModelConfig, PartitionPolicy, ToyBevt, init_params,
                           split_params)
@@ -30,9 +31,8 @@ from camfed.world import CameraPose, CameraRig, build_client_dataset, rig_from_p
 
 SEEDS = [0, 1, 2, 3, 4]
 
-SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, n_attn_layers=1,
-                    encoder_hidden=8, decoder_hidden=8, n_azimuth_bins=12,
-                    n_elevation_bins=2)
+SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
+                    decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2)
 
 
 def report(criterion, ok, detail):
@@ -128,8 +128,7 @@ class TestCriterion1:
             (lambda ts: ad.mean(ts[0]), [(3, 4)], 0.0),
             (lambda ts: ad.scale(ts[0], -1.7), [(3, 3)], 0.0),
             (lambda ts: ad.tile_rows(ts[0], 3), [(2, 4)], 0.0),
-            (lambda ts: ad.batched_cross_attention(ts[0], ts[1], ts[2],
-                                                   2, 2, True),
+            (lambda ts: ad.batched_cross_attention(ts[0], ts[1], ts[2], 2, 2),
              [(3, 4), (10, 4), (10, 4)], 0.0),
         ]
         worst = 0.0
@@ -188,7 +187,7 @@ class TestCriterion1:
             store = model.params
             model.zero_grads()
             loss = model.loss(model.forward(views, rig, mask), target, mask)
-            model.backward(loss, mask)
+            model.backward(loss)
             analytic = store.grads.copy()
             step = 1e-5
             for i in rng.choice(store.n, size=120, replace=False):
@@ -297,8 +296,7 @@ class TestCriterion3:
                     logits = model.forward_batch([p.views for p in batch],
                                                  rig, mask)
                     model.backward(model.loss(
-                        logits, np.stack([p.bev_gt for p in batch]), mask),
-                        mask)
+                        logits, np.stack([p.bev_gt for p in batch]), mask))
                     opt.step(local, lr=lr_t)
                 local_values.append(local.values)
             total = sum(weights)
@@ -312,7 +310,7 @@ class TestCriterion3:
 # ---------------------------------------------------------------------------
 
 class TestCriterion4:
-    def test_private_indices_never_transmitted(self):
+    def test_private_indices_never_transmitted(self, monkeypatch):
         t0 = time.time()
         clients = []
         for i, name in enumerate(("car", "bus", "truck")):
@@ -323,14 +321,19 @@ class TestCriterion4:
         engine = FederationEngine(
             SMALL, PartitionPolicy.from_scheme("fedcap"), clients,
             total_rounds=20, master_seed=23,
-            options=EngineOptions(lr_u=5e-3, lr_v=5e-3, topk_retention=0.25),
-            keep_deltas=True)
+            options=EngineOptions(lr_u=5e-3, lr_v=5e-3, topk_retention=0.25))
+        sent = []
+
+        def recording_aggregate(entries, base_values, public_idx):
+            sent.extend(d for _, d, _ in entries)
+            return aggregate(entries, base_values, public_idx)
+
+        monkeypatch.setattr(federation, "aggregate", recording_aggregate)
         init_private = engine.store.values[engine.private_idx].copy()
         engine.run()
         private = set(engine.private_idx.tolist())
-        n_deltas = len(engine.delta_log)
-        leaked = sum(not private.isdisjoint(d.indices.tolist())
-                     for _, _, d in engine.delta_log)
+        n_deltas = len(sent)
+        leaked = sum(not private.isdisjoint(d.indices.tolist()) for d in sent)
         server_touched = not np.array_equal(
             engine.store.values[engine.private_idx], init_private)
         elapsed = time.time() - t0
@@ -398,7 +401,7 @@ class TestCriterion7:
         target = (rng.random((8, 8)) < 0.3).astype(float)
         model.zero_grads()
         loss = model.loss(model.forward(views, rig, mask), target, mask)
-        model.backward(loss, mask)
+        model.backward(loss)
         qgrad = model.params.grad_view("bev_query").reshape(64, SMALL.feat_dim)
         off = mask.ravel() == 0.0
         grad_ok = bool(np.all(qgrad[off] == 0.0) and np.any(qgrad[~off] != 0.0))
@@ -413,9 +416,8 @@ class TestCriterion7:
                                     fov_azimuth=float(r.uniform(40, 180)))
                          for _ in range(int(r.integers(1, 5))))
             rig_k = CameraRig(cameras=cams, name="custom")
-            max_range = float(r.uniform(6, 24))
-            got = amcm_mask(rig_k, (16, 16), 16.0, max_range=max_range)
-            exp = self._wedge_oracle(rig_k, (16, 16), 16.0, max_range)
+            got = amcm_mask(rig_k, (16, 16), 16.0)
+            exp = self._wedge_oracle(rig_k, (16, 16), 16.0)
             if not np.array_equal(got, exp):
                 count_ok = False
         elapsed = time.time() - t0
@@ -425,7 +427,7 @@ class TestCriterion7:
                       f"{elapsed:.1f}s (< 10s)")
 
     @staticmethod
-    def _wedge_oracle(rig, grid, extent, max_range):
+    def _wedge_oracle(rig, grid, extent):
         from camfed.world import wrap_angle
         h, w = grid
         out = np.zeros((h, w))
@@ -440,7 +442,7 @@ class TestCriterion7:
                 b = math.degrees(math.atan2(y, x))
                 for cam in rig.cameras:
                     if (abs(float(wrap_angle(b - cam.yaw)))
-                            <= cam.fov_azimuth / 2.0 and rng <= max_range):
+                            <= cam.fov_azimuth / 2.0):
                         out[i, j] = 1.0
                         break
         return out

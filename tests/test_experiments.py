@@ -13,7 +13,7 @@ from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
 from camfed.model import ModelConfig
 
 
-def tiny_config(**overrides):
+def tiny_config(**changes):
     base = dict(
         name="tiny", scheme="fedcap", rounds=3, warmup_rounds=1,
         lr_u=1e-2, lr_v=1e-2, batch_size=4, seed=5,
@@ -22,7 +22,7 @@ def tiny_config(**overrides):
         model=ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2,
                           encoder_hidden=8, decoder_hidden=8,
                           n_azimuth_bins=12, n_elevation_bins=2))
-    base.update(overrides)
+    base.update(changes)
     return ExperimentConfig(**base)
 
 

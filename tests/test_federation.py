@@ -6,16 +6,13 @@ import pytest
 from camfed import federation
 from camfed.federation import (ClientState, Delta, EngineOptions,
                                FederationEngine, aggregate, client_selection,
-                               compress_topk, dense_delta, lr_schedule,
-                               secure_agg_stub)
+                               compress_topk, dense_delta, lr_schedule)
 from camfed.metrics import iou
 from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
-from camfed.netsim import NetworkProfile
 from camfed.world import build_client_dataset, rig_from_preset
 
-SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, n_attn_layers=1,
-                    encoder_hidden=8, decoder_hidden=8, n_azimuth_bins=12,
-                    n_elevation_bins=2)
+SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
+                    decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2)
 
 
 def small_clients(n=2, n_points=6, seeds=None, preset_names=None):
@@ -150,7 +147,7 @@ class TestCompressTopk:
                 compress_topk(d, rho)
 
 
-class TestSelectionScheduleStub:
+class TestSelectionSchedule:
     def test_select_all(self):
         rng = np.random.default_rng(0)
         assert client_selection([2, 0, 1], 3, rng) == [0, 1, 2]
@@ -187,15 +184,6 @@ class TestSelectionScheduleStub:
 
     def test_degenerate_constant(self):
         assert lr_schedule(3, 0.5, 10, 5) == 0.5
-
-    def test_stub_identity(self):
-        d = dense_delta(np.arange(2, dtype=np.int64), np.ones(2))
-        out = secure_agg_stub([d])
-        assert out[0] is d
-
-    def test_stub_marked_in_hooks(self):
-        eng = small_engine()
-        assert "stub" in eng.hooks["secure_aggregation"]
 
 
 class TestLocalUpdate:
@@ -315,32 +303,35 @@ class TestRunRound:
             assert r.bits_down > 0 and r.bits_up > 0
             assert 0.0 <= r.val_iou <= 1.0
 
-    def test_all_stragglers_skip_round(self):
-        clients = small_clients(2)
-        # overrides force both clients to straggle every round
-        net = NetworkProfile(straggler_ratio=0.0,
-                             overrides={0: 1.0, 1: 1.0})
-        eng = FederationEngine(SMALL, PartitionPolicy.from_scheme("fedavg"),
-                               clients, total_rounds=1, master_seed=4,
-                               options=EngineOptions(lr_u=1e-2, lr_v=1e-2),
-                               network=net)
+    def test_round_without_survivors_leaves_store_unchanged(self):
+        # every selected client aborts, so no delta reaches aggregation
+        eng = small_engine(scheme="fedavg", n_clients=2, rounds=1, seed=4)
+        for c in eng.clients:
+            for p in c.dataset.train:
+                p.views[:] = np.nan
         before = eng.store.values.copy()
         recs = eng.run_round()
         assert np.array_equal(eng.store.values, before)
-        assert all(r.straggler for r in recs)
+        assert all(r.aborted and not r.straggler for r in recs)
         assert all(r.bits_up == 0 and r.bits_down > 0 for r in recs)
 
-    def test_privacy_no_private_indices_ever_transmitted(self):
+    def test_privacy_no_private_indices_ever_transmitted(self, monkeypatch):
         eng = FederationEngine(SMALL, PartitionPolicy.from_scheme("fedcap"),
                                small_clients(2), total_rounds=3,
                                master_seed=6,
                                options=EngineOptions(lr_u=1e-2, lr_v=1e-2,
-                                                     topk_retention=0.3),
-                               keep_deltas=True)
+                                                     topk_retention=0.3))
+        sent = []
+
+        def recording_aggregate(entries, base_values, public_idx):
+            sent.extend(delta for _, delta, _ in entries)
+            return aggregate(entries, base_values, public_idx)
+
+        monkeypatch.setattr(federation, "aggregate", recording_aggregate)
         eng.run()
         private = set(eng.private_idx.tolist())
-        assert eng.delta_log, "expected recorded deltas"
-        for _, _, delta in eng.delta_log:
+        assert sent, "expected transmitted deltas"
+        for delta in sent:
             assert private.isdisjoint(delta.indices.tolist())
 
     def test_server_private_slice_never_changes(self):
@@ -459,12 +450,16 @@ class TestEngineOptions:
         assert EngineOptions(topk_retention=1.0).topk_retention == 1.0
         assert EngineOptions(topk_retention=1e-3).topk_retention == 1e-3
 
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, -0.1, float("nan")])
+    def test_straggler_ratio_outside_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match="straggler_ratio"):
+            EngineOptions(straggler_ratio=ratio)
+
     def test_bits_budget_stops_engine(self):
         eng = FederationEngine(
             SMALL, PartitionPolicy.from_scheme("fedavg"), small_clients(2),
             total_rounds=5, master_seed=2,
-            options=EngineOptions(lr_u=1e-2, lr_v=1e-2),
-            network=NetworkProfile(bits_budget=10))
+            options=EngineOptions(lr_u=1e-2, lr_v=1e-2, bits_budget=10))
         eng.run()
         assert eng.round == 1
 

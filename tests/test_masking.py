@@ -1,12 +1,11 @@
 import numpy as np
-import pytest
 
-from camfed.masking import amcm_mask, apply_mask
+from camfed.masking import amcm_mask
 from camfed.world import (CameraPose, CameraRig, cell_centers, rig_from_preset,
                           wrap_angle)
 
 
-def oracle_mask(rig, grid, extent, max_range):
+def oracle_mask(rig, grid, extent):
     """Per-cell wedge-membership check, written independently."""
     h, w = grid
     out = np.zeros((h, w))
@@ -21,7 +20,7 @@ def oracle_mask(rig, grid, extent, max_range):
             bearing = np.degrees(np.arctan2(y, x))
             for cam in rig.cameras:
                 delta = abs(float(wrap_angle(bearing - cam.yaw)))
-                if delta <= cam.fov_azimuth / 2.0 and r <= max_range:
+                if delta <= cam.fov_azimuth / 2.0:
                     out[i, j] = 1.0
                     break
     return out
@@ -37,9 +36,8 @@ class TestAmcmMask:
     def test_single_front_camera_oracle(self):
         rig = CameraRig(cameras=(CameraPose(height=1.8, yaw=0.0,
                                             fov_azimuth=90.0),), name="custom")
-        max_range = 16.0 * 2 ** 0.5
         mask = amcm_mask(rig, (16, 16), extent=16.0)
-        expected = oracle_mask(rig, (16, 16), 16.0, max_range)
+        expected = oracle_mask(rig, (16, 16), 16.0)
         np.testing.assert_array_equal(mask, expected)
         # the active cells sit in the x > |y| quadrant wedge
         assert 0 < mask.sum() < 256
@@ -60,9 +58,8 @@ class TestAmcmMask:
                            fov_azimuth=float(rng.uniform(30, 180)))
                 for _ in range(n))
             rig = CameraRig(cameras=cams, name="custom")
-            max_range = float(rng.uniform(6.0, 24.0))
-            mask = amcm_mask(rig, (16, 16), extent=16.0, max_range=max_range)
-            expected = oracle_mask(rig, (16, 16), 16.0, max_range)
+            mask = amcm_mask(rig, (16, 16), extent=16.0)
+            expected = oracle_mask(rig, (16, 16), 16.0)
             np.testing.assert_array_equal(mask, expected)
 
     def test_shape_invariant_across_rigs(self):
@@ -76,10 +73,10 @@ class TestAmcmMask:
         # adding a camera never deactivates a cell
         base_ids = [1]
         prev = amcm_mask(rig_from_preset("car", camera_ids=base_ids),
-                         (16, 16), extent=16.0, max_range=10.0)
+                         (16, 16), extent=16.0)
         for ids in ([1, 2], [1, 2, 3], [1, 2, 3, 4]):
             cur = amcm_mask(rig_from_preset("car", camera_ids=ids),
-                            (16, 16), extent=16.0, max_range=10.0)
+                            (16, 16), extent=16.0)
             assert np.all(cur >= prev)
             prev = cur
 
@@ -93,34 +90,3 @@ class TestAmcmMask:
             expected = np.abs(wrap_angle(bearing - yaw)) <= 50.0
             np.testing.assert_array_equal(mask == 1.0, expected)
 
-
-class TestApplyMask:
-    def test_all_ones_identity(self):
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((4, 4, 3))
-        out = apply_mask(g, np.ones((4, 4)))
-        np.testing.assert_array_equal(out, g)
-
-    def test_all_zeros(self):
-        g = np.ones((4, 4, 3))
-        out = apply_mask(g, np.zeros((4, 4)))
-        assert np.all(out == 0.0)
-
-    def test_checkerboard_half_rows_zero(self):
-        mask = np.indices((4, 4)).sum(axis=0) % 2
-        g = np.ones((16, 3))
-        out = apply_mask(g, mask)
-        zero_rows = np.all(out == 0.0, axis=1).sum()
-        assert zero_rows == 8
-
-    def test_exact_zero_at_masked(self):
-        rng = np.random.default_rng(2)
-        g = rng.standard_normal((4, 4, 5))
-        mask = (rng.random((4, 4)) < 0.5).astype(float)
-        out = apply_mask(g, mask)
-        assert np.all(out[mask == 0.0] == 0.0)
-        np.testing.assert_array_equal(out[mask == 1.0], g[mask == 1.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_mask(np.ones((3, 3, 2)), np.ones((4, 4)))

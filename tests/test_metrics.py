@@ -266,6 +266,15 @@ class TestCrossEvaluate:
             [[0.5, 0.2, 0.1], [0.3, 0.2, 0.4], [0.2, 0.2, 0.9]]))
         assert m.diagonal_is_row_max() == 2
 
+    def test_diag_row_max_counts_no_tie(self):
+        # a row on which every model scores the same, and a diagonal that
+        # only ties the row maximum, are no wins
+        from camfed.metrics import CrossEvalMatrix
+        m = CrossEvalMatrix(client_ids=[0, 1, 2], values=np.array(
+            [[0.143, 0.143, 0.143], [0.125, 0.125, 0.0],
+             [0.031, 0.031, 0.068]]))
+        assert m.diagonal_is_row_max() == 1
+
     def test_csv_written(self, tmp_path):
         m = self.matrix_of(self.tiny_engine([5, 6]))
         path = tmp_path / "xe.csv"

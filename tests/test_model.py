@@ -10,10 +10,9 @@ from camfed.model import (ModelConfig, PartitionPolicy, SEGMENT_NAMES, ToyBevt,
                           save_checkpoint, split_params)
 from camfed.world import CameraPose, CameraRig, rig_from_preset, render_views, sample_scene
 
-SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, n_attn_layers=1,
-                    encoder_hidden=8, decoder_hidden=8, n_azimuth_bins=12,
-                    n_elevation_bins=2, n_view_channels=4, max_cameras=4,
-                    world_extent=16.0)
+SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
+                    decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2,
+                    n_view_channels=4, max_cameras=4, world_extent=16.0)
 
 
 def small_rig(n_cams=2):
@@ -200,7 +199,7 @@ class TestForward:
         model.zero_grads()
         logits = model.forward(views, rig, mask)
         loss = model.loss(logits, target, mask)
-        model.backward(loss, mask)
+        model.backward(loss)
         qgrad = model.params.grad_view("bev_query").reshape(
             SMALL.n_query_cells, SMALL.feat_dim)
         masked_rows = np.nonzero(mask.ravel() == 0.0)[0]
@@ -218,7 +217,7 @@ class TestForward:
         store = model.params
         model.zero_grads()
         loss = model.loss(model.forward(views, rig, mask), target, mask)
-        model.backward(loss, mask)
+        model.backward(loss)
         analytic = store.grads.copy()
 
         step = 1e-5
@@ -247,7 +246,7 @@ class TestForward:
         before = store.values.copy()
         model.zero_grads()
         loss = model.loss(model.forward(views, rig, mask), target, mask)
-        model.backward(loss, mask)
+        model.backward(loss)
         lr = np.zeros(store.n)
         lr[priv] = 0.1
         sgd_step(store, lr=lr)   # frozen public slice

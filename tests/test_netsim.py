@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from camfed.netsim import (CommLedger, NetworkProfile, StragglerPlan,
-                           sample_stragglers)
+from camfed.netsim import CommLedger, StragglerPlan, sample_stragglers
+from camfed.seeding import derive_rng
 
 
 class TestSampleStragglers:
@@ -41,48 +41,22 @@ class TestSampleStragglers:
 
 class TestStragglerPlan:
     def test_iid_varies_per_round(self):
-        plan = StragglerPlan(NetworkProfile(straggler_ratio=0.5), [0, 1, 2, 3],
-                             master_seed=7)
+        plan = StragglerPlan(0.5, master_seed=7)
         picks = {tuple(plan.survivors([0, 1, 2, 3], r)) for r in range(30)}
         assert len(picks) > 1
 
     def test_iid_deterministic_per_round(self):
-        p1 = StragglerPlan(NetworkProfile(straggler_ratio=0.5), [0, 1, 2, 3], 7)
-        p2 = StragglerPlan(NetworkProfile(straggler_ratio=0.5), [0, 1, 2, 3], 7)
+        p1 = StragglerPlan(0.5, 7)
+        p2 = StragglerPlan(0.5, 7)
         for r in range(5):
             assert p1.survivors([0, 1, 2, 3], r) == p2.survivors([0, 1, 2, 3], r)
 
-    def test_persistent_fixed_set(self):
-        plan = StragglerPlan(NetworkProfile(straggler_ratio=0.5,
-                                            mode="persistent"),
-                             list(range(10)), master_seed=5)
-        assert len(plan.permanent) == 5
-        for r in range(5):
-            survivors = plan.survivors(list(range(10)), r)
-            assert set(survivors) == set(range(10)) - plan.permanent
-
-    def test_overrides_force_drop_and_keep(self):
-        profile = NetworkProfile(straggler_ratio=0.0,
-                                 overrides={0: 1.0, 1: 0.0})
-        plan = StragglerPlan(profile, [0, 1, 2], master_seed=3)
-        for r in range(10):
-            survivors = plan.survivors([0, 1, 2], r)
-            assert 0 not in survivors
-            assert 1 in survivors and 2 in survivors
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            NetworkProfile(straggler_ratio=1.0)
-        with pytest.raises(ValueError):
-            NetworkProfile(mode="sometimes")
-
-    @pytest.mark.parametrize("p", [7.5, -0.1, float("nan")])
-    def test_override_probability_outside_unit_interval(self, p):
-        with pytest.raises(ValueError, match="override"):
-            NetworkProfile(overrides={0: 0.5, 1: p})
-
-    def test_override_probability_bounds_accepted(self):
-        NetworkProfile(overrides={0: 0.0, 1: 1.0})
+    def test_draws_from_the_round_straggle_stream(self):
+        plan = StragglerPlan(0.4, master_seed=3)
+        for r in range(1, 6):
+            expected = sample_stragglers(range(10), 0.4,
+                                         derive_rng(3, "straggle", r))
+            assert plan.survivors([9, 2, 5, 0, 1, 3, 4, 6, 7, 8], r) == expected
 
 
 class TestCommLedger:
