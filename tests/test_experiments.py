@@ -87,6 +87,18 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(
                 {"clients": [{"rig": "car", "n_points": 4, "oops": 2}]})
 
+    def test_straggler_mode_key_rejected(self):
+        doc = tiny_config().to_dict()
+        doc["straggler_mode"] = "iid"
+        with pytest.raises(ValueError, match="straggler_mode"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_n_attn_layers_model_key_rejected(self):
+        doc = tiny_config().to_dict()
+        doc["model"]["n_attn_layers"] = 1
+        with pytest.raises(ValueError, match="unknown model keys"):
+            ExperimentConfig.from_dict(doc)
+
     def test_empty_clients_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"clients": []})

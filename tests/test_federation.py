@@ -334,6 +334,29 @@ class TestRunRound:
         for delta in sent:
             assert private.isdisjoint(delta.indices.tolist())
 
+    def test_only_survivor_deltas_reach_aggregate(self, monkeypatch):
+        eng = small_engine(scheme="fedavg", n_clients=4, rounds=3, seed=8,
+                           straggler_ratio=0.5)
+        calls = []
+
+        def recording_aggregate(entries, base_values, public_idx):
+            calls.append(list(entries))
+            return aggregate(entries, base_values, public_idx)
+
+        monkeypatch.setattr(federation, "aggregate", recording_aggregate)
+        for _ in range(3):
+            recs = eng.run_round()
+            entries = calls.pop()
+            sent = {cid: delta for cid, delta, _ in entries}
+            survivors = [r.client_id for r in recs
+                         if r.selected and not r.aborted and not r.straggler]
+            assert sorted(sent) == survivors
+            assert any(r.straggler for r in recs)
+            for r in recs:
+                expected = sent[r.client_id].bits_upload \
+                    if r.client_id in sent else 0
+                assert r.bits_up == expected
+
     def test_server_private_slice_never_changes(self):
         eng = small_engine(scheme="fedcap", n_clients=2, rounds=3)
         init_private = eng.store.values[eng.private_idx].copy()
@@ -454,6 +477,10 @@ class TestEngineOptions:
     def test_straggler_ratio_outside_unit_interval(self, ratio):
         with pytest.raises(ValueError, match="straggler_ratio"):
             EngineOptions(straggler_ratio=ratio)
+
+    def test_straggler_ratio_bounds_accepted(self):
+        assert EngineOptions(straggler_ratio=0.0).straggler_ratio == 0.0
+        assert EngineOptions(straggler_ratio=0.99).straggler_ratio == 0.99
 
     def test_bits_budget_stops_engine(self):
         eng = FederationEngine(

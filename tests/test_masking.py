@@ -80,6 +80,17 @@ class TestAmcmMask:
             assert np.all(cur >= prev)
             prev = cur
 
+    def test_wedge_reaches_the_grid_corners(self):
+        # a narrow camera aimed at each corner activates that corner cell,
+        # the farthest cell from the ego
+        for yaw, corner in ((45.0, (-1, -1)), (135.0, (-1, 0)),
+                            (-135.0, (0, 0)), (-45.0, (0, -1))):
+            rig = CameraRig(cameras=(CameraPose(height=1.8, yaw=yaw,
+                                                fov_azimuth=10.0),),
+                            name="custom")
+            mask = amcm_mask(rig, (16, 16), extent=16.0)
+            assert mask[corner] == 1.0, yaw
+
     def test_bus_wedges_are_camera_yaw_and_half_fov(self):
         # each bus camera's wedge is centred on its yaw, 50 degrees each side
         gx, gy = cell_centers((16, 16), 16.0)

@@ -207,6 +207,63 @@ class TestForward:
         assert np.all(qgrad[masked_rows] == 0.0)
         assert np.any(qgrad[active_rows] != 0.0)
 
+    def _query_grad(self, model, views_list, rig, targets, mask):
+        model.zero_grads()
+        logits = model.forward_batch(views_list, rig, mask)
+        loss = model.loss(logits, targets, mask)
+        model.backward(loss)
+        qgrad = model.params.grad_view("bev_query").reshape(
+            SMALL.n_query_cells, SMALL.feat_dim)
+        return loss.item(), model.params.grads.copy(), qgrad.copy()
+
+    def test_all_ones_mask_gives_every_query_row_grad(self):
+        rig, views, target = small_sample(seed=8)
+        model = ToyBevt(SMALL, seed=9)
+        _, _, qgrad = self._query_grad(model, [views], rig, target[None],
+                                       np.ones(SMALL.bev_grid))
+        assert np.all(np.any(qgrad != 0.0, axis=1))
+
+    def test_checkerboard_mask_zeroes_half_the_query_rows(self):
+        rig, views, target = small_sample(seed=10)
+        model = ToyBevt(SMALL, seed=11)
+        mask = (np.indices(SMALL.bev_grid).sum(axis=0) % 2).astype(float)
+        _, _, qgrad = self._query_grad(model, [views], rig, target[None], mask)
+        zero_rows = np.all(qgrad == 0.0, axis=1)
+        np.testing.assert_array_equal(zero_rows, mask.ravel() == 0.0)
+
+    def test_masked_batch_query_rows_get_zero_grad(self):
+        rig = small_rig()
+        rng = np.random.default_rng(12)
+        views = [rng.random((2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
+                             SMALL.n_view_channels)) for _ in range(3)]
+        targets = (rng.random((3, *SMALL.bev_grid)) < 0.3).astype(float)
+        mask = (rng.random(SMALL.bev_grid) < 0.5).astype(float)
+        model = ToyBevt(SMALL, seed=13)
+        _, _, qgrad = self._query_grad(model, views, rig, targets, mask)
+        off = mask.ravel() == 0.0
+        assert np.all(qgrad[off] == 0.0)
+        assert np.any(qgrad[~off] != 0.0)
+
+    def test_targets_at_masked_cells_change_nothing(self):
+        rig, views, target = small_sample(seed=14)
+        mask = np.ones(SMALL.bev_grid)
+        mask[:, :3] = 0.0
+        flipped = np.where(mask == 0.0, 1.0 - target, target)
+        model = ToyBevt(SMALL, seed=15)
+        loss_a, grads_a, _ = self._query_grad(model, [views], rig,
+                                              target[None], mask)
+        loss_b, grads_b, _ = self._query_grad(model, [views], rig,
+                                              flipped[None], mask)
+        assert loss_a == loss_b
+        np.testing.assert_array_equal(grads_a, grads_b)
+
+    def test_all_zero_mask_rejected(self):
+        rig, views, target = small_sample(seed=16)
+        model = ToyBevt(SMALL, seed=17)
+        mask = np.zeros(SMALL.bev_grid)
+        with pytest.raises(ad.EmptySupportError):
+            model.loss(model.forward(views, rig, mask), target, mask)
+
     def test_full_gradient_check(self):
         # analytic gradient of the masked loss w.r.t. every parameter vs
         # central finite differences

@@ -51,6 +51,11 @@ class TestStragglerPlan:
         for r in range(5):
             assert p1.survivors([0, 1, 2, 3], r) == p2.survivors([0, 1, 2, 3], r)
 
+    def test_ratio_zero_keeps_every_selected_client(self):
+        plan = StragglerPlan(0.0, master_seed=7)
+        for r in range(1, 6):
+            assert plan.survivors([3, 0, 2], r) == [0, 2, 3]
+
     def test_draws_from_the_round_straggle_stream(self):
         plan = StragglerPlan(0.4, master_seed=3)
         for r in range(1, 6):
