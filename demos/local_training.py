@@ -42,14 +42,14 @@ def main():
         for lo in range(0, len(order), 4):
             batch = [dataset.train[i] for i in order[lo:lo + 4]]
             model.zero_grads()
-            logits = model.forward_batch([p.views for p in batch], rig, mask)
+            logits = model.forward_batch([p.views for p in batch], rig)
             loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
                               mask)
             model.backward(loss)
             opt.step(model.params, lr=5e-3)
             losses.append(loss.item())
         if epoch % 5 == 4:
-            scores = [iou(model.forward(p.views, rig, mask).data, p.bev_gt,
+            scores = [iou(model.forward(p.views, rig).data, p.bev_gt,
                           mask) for p in dataset.test]
             print(f"epoch {epoch + 1:3d}: loss {np.mean(losses):.4f}  "
                   f"test IoU {np.mean(scores):.4f} "

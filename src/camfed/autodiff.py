@@ -205,20 +205,25 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise normalization to zero mean, unit variance (no affine params)."""
     if a.data.ndim != 2:
         raise ValueError("layer_norm expects a 2-D tensor")
-    # numpy's own var arithmetic, reusing the centred rows: bit-identical
-    # to a.data.var(axis=1) without computing the mean and x - mu twice
-    mu = a.data.mean(axis=1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).sum(axis=1, keepdims=True) / a.data.shape[1]
+    # `add.reduce` then a divide is exactly what `.mean` computes, and the
+    # variance is numpy's own var arithmetic on the centred rows: bit-identical
+    # to a.data.var(axis=1). Centring and scaling reuse one buffer.
+    n = a.data.shape[1]
+    xhat = a.data - np.add.reduce(a.data, axis=1, keepdims=True) / n
+    var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
+    xhat *= inv_std
     out = Tensor(xhat, _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
-            gm = g.mean(axis=1, keepdims=True)
-            gx = (g * xhat).mean(axis=1, keepdims=True)
-            a._accum(inv_std * (g - gm - xhat * gx))
+            gm = np.add.reduce(g, axis=1, keepdims=True) / n
+            t = g * xhat
+            gx = np.add.reduce(t, axis=1, keepdims=True) / n
+            ga = g - gm
+            ga -= np.multiply(xhat, gx, out=t)
+            ga *= inv_std
+            a._accum(ga)
 
     return out._attach(bwd)
 
@@ -259,6 +264,22 @@ def tile_rows(a: Tensor, reps: int) -> Tensor:
     return out._attach(bwd)
 
 
+def _softmax_(x: np.ndarray) -> None:
+    """Softmax over the last axis, in place.
+
+    The row max is taken one column at a time: max is exact in any order,
+    and a short last axis makes numpy's strided reduction the slower way.
+    Where +0.0 and -0.0 tie for a row's max, either sign gives the same
+    exp(x - max), so the result does not depend on which one wins.
+    """
+    row_max = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(row_max, x[..., j], out=row_max)
+    x -= row_max[..., None]
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+
+
 def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
                             n_heads: int, batch: int) -> Tensor:
     """Scaled-dot-product attention over `batch` samples and `n_heads` heads.
@@ -283,10 +304,9 @@ def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
     k4 = kp.data.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
     v4 = vp.data.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
 
-    scores = (q4 @ k4.transpose(0, 1, 3, 2)) * scale_f              # (B,H,nq,nk)
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = q4 @ k4.transpose(0, 1, 3, 2)                            # (B,H,nq,nk)
+    attn *= scale_f
+    _softmax_(attn)
     out4 = attn @ v4                                                # (B,H,nq,dh)
     out = out4.transpose(0, 2, 1, 3).reshape(batch * n_q, f)
     result = Tensor(out, _parents=(qp, kp, vp))
@@ -296,8 +316,9 @@ def batched_cross_attention(qp: Tensor, kp: Tensor, vp: Tensor,
         if vp.requires_grad:
             gv = attn.transpose(0, 1, 3, 2) @ g4                    # (B,H,nk,dh)
             vp._accum(gv.transpose(0, 2, 1, 3).reshape(batch * n_k, f))
-        ga = g4 @ v4.transpose(0, 1, 3, 2)                          # (B,H,nq,nk)
-        gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True))
+        gs = g4 @ v4.transpose(0, 1, 3, 2)                          # (B,H,nq,nk)
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
         gs *= scale_f
         if qp.requires_grad:
             gq = (gs @ k4).sum(axis=0)                              # (H,nq,dh)

@@ -225,8 +225,7 @@ class FederationEngine:
     def _batch_backward(self, model: ToyBevt, client: ClientState,
                         batch) -> float:
         model.zero_grads()
-        logits = model.forward_batch([p.views for p in batch], client.rig,
-                                     client.mask)
+        logits = model.forward_batch([p.views for p in batch], client.rig)
         loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
                           client.mask)
         model.backward(loss)

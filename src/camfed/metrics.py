@@ -56,8 +56,7 @@ def mean_ious(model: ToyBevt, clients: list) -> list:
             jobs = [(k, p) for k in members for p in clients[k].dataset.test]
             for lo in range(0, len(jobs), EVAL_CHUNK):
                 chunk = jobs[lo:lo + EVAL_CHUNK]
-                logits = model.forward_batch([p.views for _, p in chunk],
-                                             rig, mask)
+                logits = model.forward_batch([p.views for _, p in chunk], rig)
                 for (k, p), lg in zip(chunk, logits.data):
                     scores[k].append(iou(lg, p.bev_gt, mask))
     return [float(np.mean(s)) if s else float("nan") for s in scores]

@@ -358,18 +358,16 @@ class ToyBevt:
         geo = ad.constant(rays[active])
         return self._mlp(geo, "pos_embed")
 
-    def forward(self, views: np.ndarray, rig: CameraRig,
-                mask: np.ndarray | None = None) -> Tensor:
+    def forward(self, views: np.ndarray, rig: CameraRig) -> Tensor:
         """Per-cell logits over the BEV grid, shape bev_grid.
 
-        The mask only gates the loss/metrics side; logits are produced for
-        every cell so the output shape is rig-independent.
+        Logits are produced for every cell, so the output shape is
+        rig-independent; a FoV mask gates only the loss and the metrics.
         """
-        return ad.reshape(self.forward_batch([views], rig, mask),
+        return ad.reshape(self.forward_batch([views], rig),
                           self.config.bev_grid)
 
-    def forward_batch(self, views_list: list, rig: CameraRig,
-                      mask: np.ndarray | None = None) -> Tensor:
+    def forward_batch(self, views_list: list, rig: CameraRig) -> Tensor:
         """Logits for several data points of the same rig in one graph,
         shape (len(views_list), *bev_grid).
 
@@ -385,8 +383,6 @@ class ToyBevt:
                              f"{cfg.max_cameras}")
         if len(rig) != n_cams:
             raise ValueError("views and rig disagree on camera count")
-        if mask is not None and mask.shape != cfg.bev_grid:
-            raise ValueError("mask shape must equal bev_grid")
 
         _, active = self._rig_geometry(rig)
         batch = len(views_list)

@@ -18,6 +18,7 @@ into the elevation bin selected by the camera-frame elevation of the object
 base, so camera height and pitch both move features around.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,34 +167,68 @@ def wrap_angle(deg):
     return np.where(wrapped == -180.0, 180.0, wrapped)
 
 
+@functools.lru_cache(maxsize=64)
+def _rig_rays(rig: CameraRig):
+    """Every in-FoV ray of `rig`, in camera then bin order: camera index,
+    bin index and the unit direction (ux, uy), as read-only arrays.
+
+    A pure function of the frozen rig, so it is cached: every data point of
+    a client shares one table.
+    """
+    cams, bins, ux, uy = [], [], [], []
+    for ci, cam in enumerate(rig.cameras):
+        phis = azimuth_bin_angles(cam.n_azimuth_bins)
+        for bi in np.flatnonzero(in_fov_bins(cam, cam.n_azimuth_bins)):
+            bearing = float(wrap_angle(cam.yaw + phis[bi]))
+            cams.append(ci)
+            bins.append(int(bi))
+            ux.append(math.cos(math.radians(bearing)))
+            uy.append(math.sin(math.radians(bearing)))
+    table = (np.array(cams, dtype=np.intp), np.array(bins, dtype=np.intp),
+             np.array(ux, dtype=np.float64), np.array(uy, dtype=np.float64))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _nearest_hits(scene: Scene, ux: np.ndarray, uy: np.ndarray):
+    """Entry distance and radius of the nearest disc along each ray (ux, uy).
+
+    All rays meet all discs in one pass. A ray that hits no disc gets
+    (inf, 0.0); distance 0.0 means the ego sits inside a disc; of discs at
+    equal distance the first in `scene.objects` wins.
+    """
+    if not scene.objects:
+        return np.full(ux.shape, math.inf), np.zeros(ux.shape)
+    ox, oy, r = np.array(scene.objects, dtype=np.float64).T
+    along = ux[:, None] * ox + uy[:, None] * oy        # (rays, discs)
+    c2 = ox * ox + oy * oy
+    r2 = r * r
+    perp2 = c2 - along * along
+    d = along - np.sqrt(np.maximum(r2 - perp2, 0.0))
+    d[(along <= 0.0) | (perp2 > r2)] = math.inf
+    d[:, c2 <= r2] = 0.0                             # ego inside the disc
+    nearest = d.argmin(axis=1)                       # first minimum on ties
+    dist = d[np.arange(len(d)), nearest]
+    return dist, np.where(np.isfinite(dist), r[nearest], 0.0)
+
+
 def ray_hit(scene: Scene, bearing_deg: float):
     """Nearest disc along the bearing: (entry distance, disc radius).
 
     Returns (inf, 0.0) when no disc is hit; distance 0.0 when the ego sits
     inside a disc.
     """
-    ux = math.cos(math.radians(bearing_deg))
-    uy = math.sin(math.radians(bearing_deg))
-    best_d, best_r = math.inf, 0.0
-    for ox, oy, r in scene.objects:
-        along = ox * ux + oy * uy
-        c2 = ox * ox + oy * oy
-        perp2 = c2 - along * along
-        if c2 <= r * r:           # ego inside the disc
-            d = 0.0
-        elif along <= 0.0 or perp2 > r * r:
-            continue
-        else:
-            d = along - math.sqrt(r * r - perp2)
-        if d < best_d:
-            best_d, best_r = d, r
-    return best_d, best_r
+    ux = np.array([math.cos(math.radians(bearing_deg))])
+    uy = np.array([math.sin(math.radians(bearing_deg))])
+    d, r = _nearest_hits(scene, ux, uy)
+    return float(d[0]), float(r[0])
 
 
 def elevation_bin(elev_cam_deg: float, n_bins: int) -> int:
     lo, hi = ELEVATION_RANGE
     frac = (elev_cam_deg - lo) / (hi - lo)
-    return int(np.clip(math.floor(frac * n_bins), 0, n_bins - 1))
+    return min(max(math.floor(frac * n_bins), 0), n_bins - 1)
 
 
 def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
@@ -206,20 +241,19 @@ def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
     first = rig.cameras[0]
     n_a, n_e = first.n_azimuth_bins, first.n_elevation_bins
     views = np.zeros((len(rig), n_a, n_e, 4), dtype=np.float64)
-    for ci, cam in enumerate(rig.cameras):
-        phis = azimuth_bin_angles(cam.n_azimuth_bins)
-        for bi in np.flatnonzero(in_fov_bins(cam, cam.n_azimuth_bins)):
-            bearing = float(wrap_angle(cam.yaw + phis[bi]))
-            d, radius = ray_hit(scene, bearing)
-            if not math.isfinite(d):
-                continue
-            elev_world = math.degrees(math.atan2(-cam.height, d))
-            elev_cam = elev_world - cam.pitch
-            eb = elevation_bin(elev_cam, cam.n_elevation_bins)
-            views[ci, bi, eb, 0] = 1.0
-            views[ci, bi, eb, 1] = 1.0 / (1.0 + d)
-            views[ci, bi, eb, 2] = math.radians(elev_world) / (math.pi / 2.0)
-            views[ci, bi, eb, 3] = min(radius / d, 1.0) if d > 0 else 1.0
+    cams, bins, ux, uy = _rig_rays(rig)
+    dists, radii = _nearest_hits(scene, ux, uy)
+    hit = np.flatnonzero(np.isfinite(dists))
+    for ci, bi, d, radius in zip(cams[hit].tolist(), bins[hit].tolist(),
+                                 dists[hit].tolist(), radii[hit].tolist()):
+        cam = rig.cameras[ci]
+        elev_world = math.degrees(math.atan2(-cam.height, d))
+        elev_cam = elev_world - cam.pitch
+        eb = elevation_bin(elev_cam, cam.n_elevation_bins)
+        views[ci, bi, eb, 0] = 1.0
+        views[ci, bi, eb, 1] = 1.0 / (1.0 + d)
+        views[ci, bi, eb, 2] = math.radians(elev_world) / (math.pi / 2.0)
+        views[ci, bi, eb, 3] = min(radius / d, 1.0) if d > 0 else 1.0
     return views
 
 
@@ -235,11 +269,20 @@ def cell_centers(grid, extent: float):
     return np.meshgrid(xs, ys)
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_centers(grid: tuple, extent: float):
+    """`cell_centers`, computed once per (grid, extent) and read-only."""
+    centers = cell_centers(grid, extent)
+    for a in centers:
+        a.setflags(write=False)
+    return centers
+
+
 def rasterize_bev(scene: Scene, grid, extent: float) -> np.ndarray:
     """Binary occupancy grid: cell = 1 iff its center lies inside any disc."""
     if grid[0] < 4 or grid[1] < 4:
         raise ValueError("grid dims must be >= 4")
-    gx, gy = cell_centers(grid, extent)
+    gx, gy = _grid_centers(tuple(grid), extent)
     out = np.zeros(gx.shape, dtype=np.float64)
     for ox, oy, r in scene.objects:
         out[(gx - ox) ** 2 + (gy - oy) ** 2 <= r * r] = 1.0

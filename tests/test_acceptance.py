@@ -186,17 +186,17 @@ class TestCriterion1:
             model = ToyBevt(SMALL, init_params(SMALL, seed=100 + inst))
             store = model.params
             model.zero_grads()
-            loss = model.loss(model.forward(views, rig, mask), target, mask)
+            loss = model.loss(model.forward(views, rig), target, mask)
             model.backward(loss)
             analytic = store.grads.copy()
             step = 1e-5
             for i in rng.choice(store.n, size=120, replace=False):
                 saved = store.values[i]
                 store.values[i] = saved + step
-                up = model.loss(model.forward(views, rig, mask), target,
+                up = model.loss(model.forward(views, rig), target,
                                 mask).item()
                 store.values[i] = saved - step
-                dn = model.loss(model.forward(views, rig, mask), target,
+                dn = model.loss(model.forward(views, rig), target,
                                 mask).item()
                 store.values[i] = saved
                 numeric = (up - dn) / (2 * step)
@@ -294,7 +294,7 @@ class TestCriterion3:
                     batch = [train[i] for i in order[lo:lo + 4]]
                     model.zero_grads()
                     logits = model.forward_batch([p.views for p in batch],
-                                                 rig, mask)
+                                                 rig)
                     model.backward(model.loss(
                         logits, np.stack([p.bev_gt for p in batch]), mask))
                     opt.step(local, lr=lr_t)
@@ -400,7 +400,7 @@ class TestCriterion7:
         views = rng.random((1, 12, 2, 4))
         target = (rng.random((8, 8)) < 0.3).astype(float)
         model.zero_grads()
-        loss = model.loss(model.forward(views, rig, mask), target, mask)
+        loss = model.loss(model.forward(views, rig), target, mask)
         model.backward(loss)
         qgrad = model.params.grad_view("bev_query").reshape(64, SMALL.feat_dim)
         off = mask.ravel() == 0.0

@@ -234,8 +234,88 @@ class TestElementwiseOps:
             check_op(lambda ts: ad.affine(ts[0], ts[1], ts[2]),
                      [(3, 4), (4, 2), (2,)], rng)
 
+    @pytest.mark.parametrize("shape", [(1024, 16), (5, 3)])
+    def test_layer_norm_gradient_equals_mean_formula_exactly(self, shape):
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal(shape) * 7.0 + 3.0
+        g = rng.standard_normal(shape)
+        xc = a - a.mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True)
+                                / shape[1] + 1e-5)
+        xhat = xc * inv_std
+        want = inv_std * (g - g.mean(axis=1, keepdims=True)
+                          - xhat * (g * xhat).mean(axis=1, keepdims=True))
+        x = Tensor(a, requires_grad=True)
+        out = ad.layer_norm(x)
+        np.testing.assert_array_equal(out.data, xhat)
+        out._backward(g)
+        np.testing.assert_array_equal(x.grad, want)
+
+
+def mean_max_attention(q, k, v, n_heads, batch, g):
+    """Attention by `.max` and out-of-place softmax arithmetic: the output,
+    then the gradients of q, k and v for upstream gradient g."""
+    n_q, f = q.shape
+    dh = f // n_heads
+    n_k = k.shape[0] // batch
+    scale_f = 1.0 / math.sqrt(dh)
+    q4 = q.reshape(n_q, n_heads, dh).transpose(1, 0, 2)[None]
+    k4 = k.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
+    v4 = v.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
+    scores = (q4 @ k4.transpose(0, 1, 3, 2)) * scale_f
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = (attn @ v4).transpose(0, 2, 1, 3).reshape(batch * n_q, f)
+    g4 = g.reshape(batch, n_q, n_heads, dh).transpose(0, 2, 1, 3)
+    gv = attn.transpose(0, 1, 3, 2) @ g4
+    ga = g4 @ v4.transpose(0, 1, 3, 2)
+    gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True))
+    gs *= scale_f
+    gq = (gs @ k4).sum(axis=0)
+    gk = gs.transpose(0, 1, 3, 2) @ q4
+    return (out, gq.transpose(1, 0, 2).reshape(n_q, f),
+            gk.transpose(0, 2, 1, 3).reshape(batch * n_k, f),
+            gv.transpose(0, 2, 1, 3).reshape(batch * n_k, f))
+
 
 class TestBatchedCrossAttention:
+    @pytest.mark.parametrize("batch,heads,n_q,n_k,dh",
+                             [(4, 2, 256, 24, 8), (3, 3, 7, 5, 3)])
+    def test_equals_mean_max_formula_exactly(self, batch, heads, n_q, n_k,
+                                             dh):
+        rng = np.random.default_rng(27)
+        f = heads * dh
+        q = rng.standard_normal((n_q, f)) * 2.0
+        k = rng.standard_normal((batch * n_k, f))
+        v = rng.standard_normal((batch * n_k, f))
+        g = rng.standard_normal((batch * n_q, f))
+        # top-score ties: query 0 scores every key +0.0, and keys 0 and 1
+        # of every sample point far along query 1
+        q[0] = 0.0
+        for b in range(batch):
+            k[b * n_k] = k[b * n_k + 1] = 4.0 * q[1]
+        qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        out = ad.batched_cross_attention(qt, kt, vt, n_heads=heads,
+                                         batch=batch)
+        out._backward(g)
+        want = mean_max_attention(q, k, v, heads, batch, g)
+        for got, ref in zip((out.data, qt.grad, kt.grad, vt.grad), want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_softmax_signed_zero_ties_equal_mean_max_formula(self):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((3, 2, 6, 5))
+        x[0, 0, :, :2] = (0.0, -0.0)
+        x[0, 1, :, :2] = (-0.0, 0.0)
+        x[1, :, :, 3] = -0.0
+        x[1, :, :, 4] = 0.0
+        x[0, :, :, 2:] = -np.abs(x[0, :, :, 2:])
+        x[1, :, :, :3] = -np.abs(x[1, :, :, :3]) - 1.0
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        ad._softmax_(x)
+        np.testing.assert_array_equal(x, want)
     def test_gradient_shared_query(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

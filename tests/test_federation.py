@@ -1,9 +1,12 @@
 import math
+import platform
 
 import numpy as np
 import pytest
 
+import camfed
 from camfed import federation
+from camfed.experiments import build_engine, preset
 from camfed.federation import (ClientState, Delta, EngineOptions,
                                FederationEngine, aggregate, client_selection,
                                compress_topk, dense_delta, lr_schedule)
@@ -252,8 +255,7 @@ class TestLocalUpdate:
         order = rng.permutation(len(client.dataset.train))
         batch = [client.dataset.train[i] for i in order]
         model.zero_grads()
-        logits = model.forward_batch([p.views for p in batch], client.rig,
-                                     client.mask)
+        logits = model.forward_batch([p.views for p in batch], client.rig)
         model.loss(logits, np.stack([p.bev_gt for p in batch]),
                    client.mask).backward()
         for sl, leaf in model._leaves:
@@ -425,7 +427,7 @@ class TestRunRound:
         assert [m for m, _ in calls] == built[len(selected):]
         for r, c in zip(recs, eng.clients):
             model = ToyBevt(SMALL, eng.personal_store(c))
-            ref = np.mean([iou(model.forward(p.views, c.rig, c.mask).data,
+            ref = np.mean([iou(model.forward(p.views, c.rig).data,
                                p.bev_gt, c.mask) for p in c.dataset.test])
             assert r.val_iou == float(ref)
 
@@ -547,3 +549,23 @@ class TestDeltaValidation:
         with pytest.raises(ValueError):
             Delta(indices=np.arange(3, dtype=np.int64), values=np.zeros(2),
                   dense=False, bits_upload=0)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_training_steps_fault_in_no_fresh_heap():
+    # a step's few MB of temporaries stay mapped between steps: without the
+    # thresholds camfed sets at import, each step faults ~1,100 pages in
+    import resource
+
+    assert camfed._heap_kept_mapped
+    engine = build_engine(preset("uc1"))
+    car = engine.clients[2]
+    steps = car.local_epochs * math.ceil(len(car.dataset.train)
+                                         / car.batch_size)
+    engine.local_update(car, 1e-2, 1e-2, 1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    engine.local_update(car, 1e-2, 1e-2, 1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert steps == 128
+    assert faults < 10 * steps

@@ -77,7 +77,7 @@ def make_client(rig, points, seed=0, mask=None):
 
 def reference_iou(model, client):
     """Mean IoU over one taped forward per test point; nan without points."""
-    scores = [iou(model.forward(p.views, client.rig, client.mask).data,
+    scores = [iou(model.forward(p.views, client.rig).data,
                   p.bev_gt, client.mask) for p in client.dataset.test]
     return float(np.mean(scores)) if scores else float("nan")
 
@@ -123,7 +123,7 @@ class TestMeanIou:
         client = make_client(
             rig, build_client_dataset(rig, 17, seed=3, grid=(8, 8)).points)
         model = self.mixed_model(rig, client.dataset.test)
-        single = [iou(model.forward(p.views, rig, client.mask).data, p.bev_gt,
+        single = [iou(model.forward(p.views, rig).data, p.bev_gt,
                       client.mask) for p in client.dataset.test]
         assert len(set(single)) > 1
         assert mean_ious(model, [client]) == [float(np.mean(single))]
@@ -143,9 +143,9 @@ class TestMeanIou:
         sizes = []
         forward_batch = ToyBevt.forward_batch
 
-        def recording(model, views_list, rig, mask=None):
+        def recording(model, views_list, rig):
             sizes.append(len(views_list))
-            return forward_batch(model, views_list, rig, mask)
+            return forward_batch(model, views_list, rig)
 
         monkeypatch.setattr(ToyBevt, "forward_batch", recording)
         clients = self.mixed_clients()
@@ -165,7 +165,7 @@ class TestMeanIou:
             mean_ious(model, [client])
             assert len(model._leaves) == 0
         # training forwards still record their leaves afterwards
-        model.forward(client.dataset.test[0].views, rig, client.mask)
+        model.forward(client.dataset.test[0].views, rig)
         assert len(model._leaves) > 0
 
     def test_no_points_is_nan(self):

@@ -157,12 +157,10 @@ class TestForward:
         model = ToyBevt(SMALL, seed=0)
         rig = small_rig()
         views = [small_sample(seed=s)[1] for s in range(3)]
-        mask = np.ones(SMALL.bev_grid)
-        logits = model.forward_batch(views, rig, mask)
+        logits = model.forward_batch(views, rig)
         assert logits.shape == (3, *SMALL.bev_grid)
         for row, v in zip(logits.data, views):
-            np.testing.assert_array_equal(row,
-                                          model.forward(v, rig, mask).data)
+            np.testing.assert_array_equal(row, model.forward(v, rig).data)
 
     def test_too_many_cameras(self):
         cfg = ModelConfig(feat_dim=8, bev_grid=(8, 8), max_cameras=1,
@@ -197,7 +195,7 @@ class TestForward:
         mask = np.ones(SMALL.bev_grid)
         mask[0, :] = 0.0
         model.zero_grads()
-        logits = model.forward(views, rig, mask)
+        logits = model.forward(views, rig)
         loss = model.loss(logits, target, mask)
         model.backward(loss)
         qgrad = model.params.grad_view("bev_query").reshape(
@@ -209,7 +207,7 @@ class TestForward:
 
     def _query_grad(self, model, views_list, rig, targets, mask):
         model.zero_grads()
-        logits = model.forward_batch(views_list, rig, mask)
+        logits = model.forward_batch(views_list, rig)
         loss = model.loss(logits, targets, mask)
         model.backward(loss)
         qgrad = model.params.grad_view("bev_query").reshape(
@@ -262,7 +260,7 @@ class TestForward:
         model = ToyBevt(SMALL, seed=17)
         mask = np.zeros(SMALL.bev_grid)
         with pytest.raises(ad.EmptySupportError):
-            model.loss(model.forward(views, rig, mask), target, mask)
+            model.loss(model.forward(views, rig), target, mask)
 
     def test_full_gradient_check(self):
         # analytic gradient of the masked loss w.r.t. every parameter vs
@@ -273,7 +271,7 @@ class TestForward:
         model = ToyBevt(SMALL, seed=4)
         store = model.params
         model.zero_grads()
-        loss = model.loss(model.forward(views, rig, mask), target, mask)
+        loss = model.loss(model.forward(views, rig), target, mask)
         model.backward(loss)
         analytic = store.grads.copy()
 
@@ -284,9 +282,9 @@ class TestForward:
         for i in probe:
             saved = store.values[i]
             store.values[i] = saved + step
-            up = model.loss(model.forward(views, rig, mask), target, mask).item()
+            up = model.loss(model.forward(views, rig), target, mask).item()
             store.values[i] = saved - step
-            dn = model.loss(model.forward(views, rig, mask), target, mask).item()
+            dn = model.loss(model.forward(views, rig), target, mask).item()
             store.values[i] = saved
             numeric = (up - dn) / (2 * step)
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)
@@ -302,7 +300,7 @@ class TestForward:
         pub, priv = split_params(store, PartitionPolicy.from_scheme("fedcap"))
         before = store.values.copy()
         model.zero_grads()
-        loss = model.loss(model.forward(views, rig, mask), target, mask)
+        loss = model.loss(model.forward(views, rig), target, mask)
         model.backward(loss)
         lr = np.zeros(store.n)
         lr[priv] = 0.1

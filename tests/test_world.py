@@ -5,8 +5,43 @@ import pytest
 
 from camfed import world
 from camfed.world import (CameraPose, CameraRig, Scene, azimuth_bin_angles,
-                          build_client_dataset, rasterize_bev, ray_hit,
-                          render_views, rig_from_preset, sample_scene)
+                          build_client_dataset, elevation_bin, in_fov_bins,
+                          rasterize_bev, ray_hit, render_views,
+                          rig_from_preset, sample_scene, wrap_angle)
+
+
+def per_ray_views(scene, rig):
+    """render_views one ray and one disc at a time, in scalar arithmetic."""
+    first = rig.cameras[0]
+    views = np.zeros((len(rig), first.n_azimuth_bins, first.n_elevation_bins,
+                      4))
+    for ci, cam in enumerate(rig.cameras):
+        phis = azimuth_bin_angles(cam.n_azimuth_bins)
+        for bi in np.flatnonzero(in_fov_bins(cam, cam.n_azimuth_bins)):
+            bearing = float(wrap_angle(cam.yaw + phis[bi]))
+            ux = math.cos(math.radians(bearing))
+            uy = math.sin(math.radians(bearing))
+            d, radius = math.inf, 0.0
+            for ox, oy, r in scene.objects:
+                along = ox * ux + oy * uy
+                c2 = ox * ox + oy * oy
+                perp2 = c2 - along * along
+                if c2 <= r * r:
+                    t = 0.0
+                elif along <= 0.0 or perp2 > r * r:
+                    continue
+                else:
+                    t = along - math.sqrt(r * r - perp2)
+                if t < d:
+                    d, radius = t, r
+            if not math.isfinite(d):
+                continue
+            elev_world = math.degrees(math.atan2(-cam.height, d))
+            eb = elevation_bin(elev_world - cam.pitch, cam.n_elevation_bins)
+            views[ci, bi, eb] = (1.0, 1.0 / (1.0 + d),
+                                 math.radians(elev_world) / (math.pi / 2.0),
+                                 min(radius / d, 1.0) if d > 0 else 1.0)
+    return views
 
 
 class TestRigPresets:
@@ -107,6 +142,31 @@ class TestRenderViews:
                 break
             t += step
         assert d == pytest.approx(t, abs=2 * step)
+
+    def test_equals_per_ray_scalar_reference_exactly(self):
+        rigs = [rig_from_preset("car"), rig_from_preset("truck", [2, 4]),
+                rig_from_preset("bus", n_azimuth_bins=12, n_elevation_bins=2),
+                CameraRig(cameras=(CameraPose(height=2.0, pitch=3.0, yaw=37.0,
+                                              fov_azimuth=360.0,
+                                              n_azimuth_bins=7),)),
+                CameraRig(cameras=(CameraPose(height=2.0, yaw=45.0,
+                                              fov_azimuth=360.0,
+                                              n_azimuth_bins=4),))]
+        # two discs entered at exactly 4.0 along bearing 0 (the first one's
+        # radius is written), the ego inside a disc, and an empty scene, then
+        # random scenes of big discs
+        scenes = [Scene(objects=((5.0, 0.0, 1.0), (6.0, 0.0, 2.0),
+                                 (-3.0, 3.0, 0.7)), extent=16.0),
+                  Scene(objects=((0.2, 0.1, 1.0), (3.0, 0.0, 1.0)),
+                        extent=16.0),
+                  Scene(objects=(), extent=16.0)]
+        rng = np.random.default_rng(8)
+        scenes += [sample_scene(rng, n_objects=(0, 8), extent=6.0,
+                                radius_range=(0.5, 5.0)) for _ in range(30)]
+        for rig in rigs:
+            for scene in scenes:
+                np.testing.assert_array_equal(render_views(scene, rig),
+                                              per_ray_views(scene, rig))
 
     def test_fov_consistency(self):
         # nonzero bins only where the ray lies inside the wedge
