@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .federation import ClientState, EngineOptions, FederationEngine
+from .federation import ClientState, FederationEngine
 from .metrics import (CrossEvalMatrix, EvalReport, cross_evaluate,
                       rounds_to_target)
 from .model import (ModelConfig, PartitionPolicy, check_field_types,
-                    save_checkpoint)
+                    check_keys, save_checkpoint)
 from .seeding import derive_seed
 from .world import build_client_dataset, rig_from_preset
 
@@ -69,32 +69,53 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject settings of the wrong type or out of range.
 
-        Runs at construction and again in `engine_settings` (from
-        `build_engine` and `sweep`), so a field set after construction is
-        checked before any dataset is built.
+        Runs at construction and again in `build_engine` and `sweep`, so a
+        field set after construction is checked before any dataset is
+        built. The README lists every field's valid range.
         """
         check_field_types(self)
+        if not self.clients:
+            raise ValueError("config needs a non-empty 'clients' list")
         for idx, spec in enumerate(self.clients):
             check_field_types(spec, f"client {idx}: ")
             if spec.cameras is not None and not all(
                     type(i) is int for i in spec.cameras):
                 raise ValueError(f"client {idx}: cameras must be a list of "
                                  f"ints, got {spec.cameras!r}")
+            try:
+                rig_from_preset(spec.rig, camera_ids=spec.cameras)
+            except ValueError as err:
+                raise ValueError(f"client {idx}: {err}") from None
+            if spec.local_epochs < 1:
+                raise ValueError(f"client {idx}: local_epochs must be >= 1")
+            if spec.n_points < 2:
+                raise ValueError(f"client {idx}: n_points must be >= 2")
+        PartitionPolicy.from_scheme(self.scheme)
+        if self.optimizer not in ("adamw", "sgd"):
+            raise ValueError(f"optimizer must be 'adamw' or 'sgd', "
+                             f"got {self.optimizer!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.warmup_rounds < 0:
             raise ValueError("warmup_rounds must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("lr_u", "lr_v"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {lr}")
+        if not (0.0 < self.topk_retention <= 1.0):
+            raise ValueError("topk_retention must be in (0, 1]")
+        if not (0.0 <= self.straggler_ratio < 1.0):
+            raise ValueError("straggler_ratio must be in [0, 1)")
         if self.select_m is not None and not (
                 1 <= self.select_m <= len(self.clients)):
             raise ValueError(f"select_m must be in 1..{len(self.clients)} "
                              f"(the number of clients), got {self.select_m}")
-        for idx, spec in enumerate(self.clients):
-            if spec.local_epochs < 1:
-                raise ValueError(f"client {idx}: local_epochs must be >= 1")
-            if spec.n_points < 2:
-                raise ValueError(f"client {idx}: n_points must be >= 2")
+        for name in ("bits_budget", "checkpoint_every"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be null or >= 1, got {value}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -104,24 +125,15 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"config must be an object, got {doc!r}")
         doc = dict(doc)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if not isinstance(doc.get("clients"), list) or not doc["clients"]:
+        # a missing 'clients' gets the message below, not a missing-key one
+        check_keys(doc, cls, "config", required=())
+        if not isinstance(doc.get("clients"), list):
             raise ValueError("config needs a non-empty 'clients' list")
-        fields = dataclasses.fields(ClientSpec)
-        client_known = {f.name for f in fields}
-        required = {f.name for f in fields if f.default is dataclasses.MISSING}
         clients = []
         for idx, c in enumerate(doc["clients"]):
             if not isinstance(c, dict):
                 raise ValueError(f"client {idx} must be an object, got {c!r}")
-            for kind, keys in (("unknown", set(c) - client_known),
-                               ("missing", required - set(c))):
-                if keys:
-                    raise ValueError(f"client {idx}: {kind} client keys: "
-                                     f"{sorted(keys)}")
+            check_keys(c, ClientSpec, "client", where=f"client {idx}: ")
             clients.append(ClientSpec(**c))
         doc["clients"] = clients
         if "model" in doc:
@@ -194,26 +206,13 @@ PRESET_NAMES = ("uc1", "uc2", "uc3", "uc4", "uc5")
 # Building and running
 # ---------------------------------------------------------------------------
 
-def engine_settings(config: ExperimentConfig):
-    """Validate `config`; return its partition policy and engine options,
-    which check their own ranges. Builds no dataset."""
-    config.validate()
-    policy = PartitionPolicy.from_scheme(config.scheme)
-    options = EngineOptions(
-        optimizer=config.optimizer, lr_u=config.lr_u, lr_v=config.lr_v,
-        warmup_rounds=config.warmup_rounds,
-        topk_retention=config.topk_retention, select_m=config.select_m,
-        use_amcm=config.amcm, straggler_ratio=config.straggler_ratio,
-        bits_budget=config.bits_budget)
-    return policy, options
-
-
 def build_engine(config: ExperimentConfig) -> FederationEngine:
-    """Materialize datasets and client states, returning a ready engine.
+    """Materialize datasets and client states, returning a ready engine
+    that reads its settings from `config`.
 
     Settings are checked first, fields set after construction included.
     """
-    policy, options = engine_settings(config)
+    config.validate()
     mc = config.model
     clients = []
     for idx, spec in enumerate(config.clients):
@@ -225,12 +224,9 @@ def build_engine(config: ExperimentConfig) -> FederationEngine:
         dataset = build_client_dataset(rig, spec.n_points, seed=seed,
                                        grid=mc.bev_grid,
                                        extent=mc.world_extent)
-        clients.append(ClientState(
-            client_id=idx, rig=rig, dataset=dataset, n_points=spec.n_points,
-            seed=seed, local_epochs=spec.local_epochs,
-            batch_size=config.batch_size))
-    return FederationEngine(mc, policy, clients, total_rounds=config.rounds,
-                            master_seed=config.seed, options=options)
+        clients.append(ClientState(client_id=idx, rig=rig, dataset=dataset,
+                                   seed=seed, local_epochs=spec.local_epochs))
+    return FederationEngine(config, clients)
 
 
 def write_rounds_csv(records, ledger, path) -> None:
@@ -252,8 +248,9 @@ def write_rounds_csv(records, ledger, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def summarize(engine: FederationEngine, config: ExperimentConfig) -> dict:
+def summarize(engine: FederationEngine) -> dict:
     """Per-client EvalReports plus run-level telemetry, as a JSON-able dict."""
+    config = engine.config
     per_client = []
     for c in engine.clients:
         recs = [r for r in engine.records if r.client_id == c.client_id]
@@ -301,10 +298,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
 
     def checkpoint_hook(eng):
         every = config.checkpoint_every
-        if every and eng.round % every == 0 and eng.round < eng.total_rounds:
-            _write_checkpoint(eng, config,
-                              os.path.join(out_dir,
-                                           f"checkpoint_round_{eng.round}.bin"))
+        if every and eng.round % every == 0 and eng.round < config.rounds:
+            _write_checkpoint(eng, os.path.join(
+                out_dir, f"checkpoint_round_{eng.round}.bin"))
 
     try:
         engine.run(workers=workers, on_round=checkpoint_hook)
@@ -312,21 +308,21 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
         # partial CSV is still written if a round raised mid-run
         write_rounds_csv(engine.records, engine.ledger,
                          os.path.join(out_dir, "rounds.csv"))
-    report = summarize(engine, config)
+    report = summarize(engine)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if len(engine.clients) >= 2:
         cross_eval_matrix(engine).to_csv(os.path.join(out_dir, "cross_eval.csv"))
-    _write_checkpoint(engine, config, os.path.join(out_dir, "checkpoint.bin"))
+    _write_checkpoint(engine, os.path.join(out_dir, "checkpoint.bin"))
     return engine, report
 
 
-def _write_checkpoint(engine: FederationEngine, config: ExperimentConfig,
-                      path) -> None:
+def _write_checkpoint(engine: FederationEngine, path) -> None:
+    config = engine.config
     extras = {f"private:{c.client_id}": c.private_values
               for c in engine.clients}
-    save_checkpoint(path, engine.store, engine.config, extra_arrays=extras,
+    save_checkpoint(path, engine.store, config.model, extra_arrays=extras,
                     meta={"round": engine.round, "scheme": config.scheme,
                           "config": config.to_dict()})
 
@@ -346,17 +342,22 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir,
         raise ValueError(f"axis must be one of {SWEEPABLE}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    whole = axis in ("local_epochs", "select_m")
     configs = []
     for i, value in enumerate(values):
+        # a run labelled 1.9 must not quietly run with 1
+        if whole and not float(value).is_integer():
+            raise ValueError(f"{axis} takes whole numbers, got {value}")
+        setting = int(value) if whole else float(value)
         cfg = ExperimentConfig.from_dict(config.to_dict())
         if axis == "local_epochs":
             for c in cfg.clients:
-                c.local_epochs = int(value)
+                c.local_epochs = setting
         else:
-            setattr(cfg, axis, (int if axis == "select_m" else float)(value))
+            setattr(cfg, axis, setting)
         cfg.seed = derive_seed(config.seed, "sweep", i)
         cfg.name = f"{config.name}-{axis}-{value}"
-        engine_settings(cfg)
+        cfg.validate()
         configs.append((value, cfg))
     os.makedirs(out_dir, exist_ok=True)
     rows = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from .masking import amcm_mask
 from .metrics import mean_ious
-from .model import ModelConfig, PartitionPolicy, ToyBevt, init_params, split_params
+from .model import PartitionPolicy, ToyBevt, init_params, split_params
 from .netsim import CommLedger, StragglerPlan
 from .optim import AdamW, NonFiniteGradientError, sgd_step
 from .params import ParamStore
@@ -118,19 +118,13 @@ def aggregate(entries, base_values: np.ndarray,
 
 @dataclass
 class ClientState:
-    client_id: int
+    client_id: int                      # the client's index in the config
     rig: CameraRig
     dataset: ClientDataset
-    n_points: int                       # aggregation weight
     seed: int
     local_epochs: int = 1
-    batch_size: int = 4
     private_values: np.ndarray | None = None
     mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ValueError("local_epochs and batch_size must be >= 1")
 
 
 @dataclass
@@ -156,62 +150,29 @@ class RoundRecord:
     aborted: bool = False
 
 
-@dataclass
-class EngineOptions:
-    optimizer: str = "adamw"                 # "adamw" | "sgd"
-    lr_u: float = 5e-3
-    lr_v: float = 5e-3
-    warmup_rounds: int = 0
-    topk_retention: float = 1.0
-    select_m: int | None = None
-    use_amcm: bool = True
-    straggler_ratio: float = 0.0
-    bits_budget: int | None = None
-
-    def __post_init__(self):
-        if self.optimizer not in ("adamw", "sgd"):
-            raise ValueError("optimizer must be 'adamw' or 'sgd'")
-        if not (0.0 < self.topk_retention <= 1.0):
-            raise ValueError("topk_retention must be in (0, 1]")
-        if not (0.0 <= self.straggler_ratio < 1.0):
-            raise ValueError("straggler_ratio must be in [0, 1)")
-
-
 class FederationEngine:
-    """Runs the communication rounds for one experiment."""
+    """Runs the communication rounds for one experiment.
 
-    def __init__(self, model_config: ModelConfig, policy: PartitionPolicy,
-                 clients: list, total_rounds: int, master_seed: int,
-                 options: EngineOptions | None = None):
-        if not clients:
-            raise ValueError("need at least one client")
-        self.config = model_config
-        self.policy = policy
-        self.options = options or EngineOptions()
-        self.total_rounds = total_rounds
-        self.master_seed = master_seed
-        self.clients = sorted(clients, key=lambda c: c.client_id)
-        ids = [c.client_id for c in self.clients]
-        if len(set(ids)) != len(ids):
-            raise ValueError("client ids must be unique")
+    Every run setting is read from `config`, a validated
+    `experiments.ExperimentConfig`; `clients` holds one `ClientState` per
+    `config.clients` entry, in order, so a client's id is its index.
+    `experiments.build_engine` makes both.
+    """
 
-        self.store = init_params(model_config, derive_seed(master_seed, "init"))
-        self.public_idx, self.private_idx = split_params(self.store, policy)
+    def __init__(self, config, clients: list):
+        self.config = config
+        self.clients = clients
+        mc = config.model
+        self.store = init_params(mc, derive_seed(config.seed, "init"))
+        self.public_idx, self.private_idx = split_params(
+            self.store, PartitionPolicy.from_scheme(config.scheme))
         self.round = 0
         self.ledger = CommLedger()
         self.records: list = []
-        self.straggler_plan = StragglerPlan(self.options.straggler_ratio,
-                                            master_seed)
-
-        for c in self.clients:
-            if len(c.dataset.train) == 0:
-                raise ValueError(f"client {c.client_id} has an empty train set")
+        for c in clients:
             c.private_values = self.store.values[self.private_idx].copy()
-            if c.mask is None:
-                c.mask = (amcm_mask(c.rig, model_config.bev_grid,
-                                    model_config.world_extent)
-                          if self.options.use_amcm
-                          else np.ones(model_config.bev_grid))
+            c.mask = (amcm_mask(c.rig, mc.bev_grid, mc.world_extent)
+                      if config.amcm else np.ones(mc.bev_grid))
 
     # -- local training -------------------------------------------------------
 
@@ -243,19 +204,20 @@ class FederationEngine:
         engine, so clients can train in any order or in parallel.
         """
         local = self.personal_store(client)
-        model = ToyBevt(self.config, local)
-        step = (AdamW(self.store.n).step if self.options.optimizer == "adamw"
+        model = ToyBevt(self.config.model, local)
+        step = (AdamW(self.store.n).step if self.config.optimizer == "adamw"
                 else sgd_step)
         lr = np.empty(self.store.n)
         lr[self.public_idx] = lr_u
         lr[self.private_idx] = lr_v
-        rng = derive_rng(self.master_seed, "batch", round_no, client.seed)
+        rng = derive_rng(self.config.seed, "batch", round_no, client.seed)
         train = client.dataset.train
+        batch_size = self.config.batch_size
         losses, grad_norms = [], []
         for _ in range(client.local_epochs):
             order = rng.permutation(len(train))
-            for lo in range(0, len(order), client.batch_size):
-                batch = [train[i] for i in order[lo:lo + client.batch_size]]
+            for lo in range(0, len(order), batch_size):
+                batch = [train[i] for i in order[lo:lo + batch_size]]
                 loss = self._batch_backward(model, client, batch)
                 if not math.isfinite(loss):
                     raise NonFiniteGradientError("non-finite training loss")
@@ -282,7 +244,8 @@ class FederationEngine:
         for c in self.clients:
             by_slice.setdefault(c.private_values.tobytes(), []).append(c)
         for members in by_slice.values():
-            yield members, ToyBevt(self.config, self.personal_store(members[0]))
+            yield members, ToyBevt(self.config.model,
+                                   self.personal_store(members[0]))
 
     def evaluate_clients(self) -> dict:
         """{client_id: mean IoU of its personalized model on its test split},
@@ -297,22 +260,20 @@ class FederationEngine:
 
     def run_round(self, workers: int = 1) -> list:
         """Advance one communication round; returns this round's records."""
-        if self.round >= self.total_rounds:
-            raise ValueError("experiment already ran its total_rounds")
+        cfg = self.config
+        if self.round >= cfg.rounds:
+            raise ValueError("experiment already ran its rounds")
         t = self.round + 1
-        opts = self.options
-        lr_u = lr_schedule(t, opts.lr_u, opts.warmup_rounds, self.total_rounds)
-        lr_v = lr_schedule(t, opts.lr_v, opts.warmup_rounds, self.total_rounds)
+        lr_u = lr_schedule(t, cfg.lr_u, cfg.warmup_rounds, cfg.rounds)
+        lr_v = lr_schedule(t, cfg.lr_v, cfg.warmup_rounds, cfg.rounds)
 
         ids = [c.client_id for c in self.clients]
-        m = opts.select_m if opts.select_m is not None else len(ids)
-        selected = client_selection(ids, m, derive_rng(self.master_seed,
-                                                       "select", t))
-        by_id = {c.client_id: c for c in self.clients}
+        m = cfg.select_m if cfg.select_m is not None else len(ids)
+        selected = client_selection(ids, m, derive_rng(cfg.seed, "select", t))
 
         def train(cid):
             try:
-                return self.local_update(by_id[cid], lr_u, lr_v, t)
+                return self.local_update(self.clients[cid], lr_u, lr_v, t)
             except NonFiniteGradientError:
                 return None
 
@@ -324,12 +285,15 @@ class FederationEngine:
 
         uploaders = [cid for cid in selected if updates[cid] is not None]
         for cid in uploaders:           # stragglers keep their new slice too
-            by_id[cid].private_values = updates[cid].private_values
-        survivors = self.straggler_plan.survivors(uploaders, t)
-        deltas = {cid: compress_topk(updates[cid].delta, opts.topk_retention)
+            self.clients[cid].private_values = updates[cid].private_values
+        survivors = StragglerPlan(cfg.straggler_ratio,
+                                  cfg.seed).survivors(uploaders, t)
+        deltas = {cid: compress_topk(updates[cid].delta, cfg.topk_retention)
                   for cid in uploaders}
 
-        entries = [(cid, deltas[cid], float(by_id[cid].n_points))
+        # each survivor's weight is its dataset size
+        entries = [(cid, deltas[cid],
+                    float(len(self.clients[cid].dataset.points)))
                    for cid in survivors]
         if entries:
             self.store.values = aggregate(entries, self.store.values,
@@ -359,15 +323,15 @@ class FederationEngine:
         return records
 
     def run(self, workers: int = 1, on_round=None) -> list:
-        """Run rounds until total_rounds or the bit budget is exhausted.
+        """Run rounds until `config.rounds` or the bit budget is exhausted.
 
         `on_round(engine)` fires after each completed round (checkpointing,
         progress reporting).
         """
-        while self.round < self.total_rounds:
+        while self.round < self.config.rounds:
             self.run_round(workers=workers)
             if on_round is not None:
                 on_round(self)
-            if self.ledger.over_budget(self.options.bits_budget):
+            if self.ledger.over_budget(self.config.bits_budget):
                 break
         return self.records

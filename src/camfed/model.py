@@ -20,7 +20,7 @@ import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_args
 
 import numpy as np
@@ -72,6 +72,21 @@ def check_field_types(obj, where: str = "") -> None:
                              f"got {value!r}")
 
 
+def check_keys(doc: dict, cls, what: str, required=None,
+               where: str = "") -> None:
+    """Raise ValueError naming the keys of `doc` that are no field of
+    dataclass `cls`, then the `required` keys it lacks (by default the
+    fields without a default), as "<where>unknown <what> keys: [...]"."""
+    names = {f.name for f in fields(cls)}
+    if required is None:
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+    for kind, keys in (("unknown", set(doc) - names),
+                       ("missing", set(required) - set(doc))):
+        if keys:
+            raise ValueError(f"{where}{kind} {what} keys: {sorted(keys)}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     feat_dim: int = 16
@@ -92,8 +107,11 @@ class ModelConfig:
                 and all(_has_type(n, int) for n in grid)):
             raise ValueError(f"bev_grid must be a pair of ints, got {grid!r}")
         check_field_types(self)
-        if self.n_heads < 1:
-            raise ValueError("n_heads must be >= 1")
+        for f in fields(self):
+            if f.type is int and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
+        if not (math.isfinite(self.world_extent) and self.world_extent > 0):
+            raise ValueError("world_extent must be finite and > 0")
         if self.feat_dim % self.n_heads != 0:
             raise ValueError("feat_dim must be divisible by n_heads")
         if self.bev_grid[0] < 4 or self.bev_grid[1] < 4:
@@ -115,11 +133,7 @@ class ModelConfig:
         """Inverse of to_dict; every field must be present, and no other."""
         if not isinstance(d, dict):
             raise ValueError(f"model must be an object, got {d!r}")
-        names = {f.name for f in fields(cls)}
-        for kind, keys in (("unknown", set(d) - names),
-                           ("missing", names - set(d))):
-            if keys:
-                raise ValueError(f"{kind} model keys: {sorted(keys)}")
+        check_keys(d, cls, "model", required=[f.name for f in fields(cls)])
         grid = d["bev_grid"]
         return cls(**{**d, "bev_grid": (tuple(grid) if isinstance(grid, list)
                                         else grid)})

@@ -17,13 +17,11 @@ from camfed import federation
 from camfed.autodiff import Tensor
 from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
                                 cross_eval_matrix, preset, run_experiment)
-from camfed.federation import (ClientState, EngineOptions, FederationEngine,
-                               aggregate, compress_topk, dense_delta,
+from camfed.federation import (aggregate, compress_topk, dense_delta,
                                lr_schedule)
 from camfed.masking import amcm_mask
 from camfed.metrics import convergence_diagnostic, iou
-from camfed.model import (ModelConfig, PartitionPolicy, ToyBevt, init_params,
-                          split_params)
+from camfed.model import ModelConfig, ToyBevt, init_params
 from camfed.optim import AdamW
 from camfed.params import ParamStore
 from camfed.seeding import derive_rng, derive_seed
@@ -50,8 +48,8 @@ def weighted_series(engine, field):
     for t in range(1, engine.round + 1):
         recs = [r for r in engine.records
                 if r.round == t and not np.isnan(getattr(r, field))]
-        w = np.array([engine.clients[r.client_id].n_points for r in recs],
-                     dtype=float)
+        w = np.array([len(engine.clients[r.client_id].dataset.points)
+                      for r in recs], dtype=float)
         out.append(float(np.average([getattr(r, field) for r in recs],
                                     weights=w)))
     return out
@@ -245,16 +243,10 @@ class TestCriterion3:
         master_seed = 17
         rounds, lr, warmup = 10, 5e-3, 3
         specs = [("car", 60), ("bus", 61), ("truck", 62)]
-        clients = []
-        for i, (name, seed) in enumerate(specs):
-            rig = rig_from_preset(name, n_azimuth_bins=12, n_elevation_bins=2)
-            ds = build_client_dataset(rig, 10, seed=seed, grid=(8, 8))
-            clients.append(ClientState(client_id=i, rig=rig, dataset=ds,
-                                       n_points=10, seed=seed))
-        engine = FederationEngine(
-            SMALL, PartitionPolicy.from_scheme("fedavg"), clients,
-            total_rounds=rounds, master_seed=master_seed,
-            options=EngineOptions(lr_u=lr, lr_v=lr, warmup_rounds=warmup))
+        engine = build_engine(ExperimentConfig(
+            clients=[ClientSpec(name, 10, seed=seed) for name, seed in specs],
+            scheme="fedavg", rounds=rounds, seed=master_seed,
+            warmup_rounds=warmup, lr_u=lr, lr_v=lr, model=SMALL))
         engine.run()
 
         # independent monolithic reference: full-vector local training and
@@ -312,16 +304,11 @@ class TestCriterion3:
 class TestCriterion4:
     def test_private_indices_never_transmitted(self, monkeypatch):
         t0 = time.time()
-        clients = []
-        for i, name in enumerate(("car", "bus", "truck")):
-            rig = rig_from_preset(name, n_azimuth_bins=12, n_elevation_bins=2)
-            ds = build_client_dataset(rig, 8, seed=30 + i, grid=(8, 8))
-            clients.append(ClientState(client_id=i, rig=rig, dataset=ds,
-                                       n_points=8, seed=30 + i))
-        engine = FederationEngine(
-            SMALL, PartitionPolicy.from_scheme("fedcap"), clients,
-            total_rounds=20, master_seed=23,
-            options=EngineOptions(lr_u=5e-3, lr_v=5e-3, topk_retention=0.25))
+        engine = build_engine(ExperimentConfig(
+            clients=[ClientSpec(name, 8, seed=30 + i)
+                     for i, name in enumerate(("car", "bus", "truck"))],
+            scheme="fedcap", rounds=20, seed=23, warmup_rounds=0,
+            lr_u=5e-3, lr_v=5e-3, topk_retention=0.25, model=SMALL))
         sent = []
 
         def recording_aggregate(entries, base_values, public_idx):

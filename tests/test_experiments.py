@@ -105,7 +105,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
-        ("select_m", 3), ("select_m", 0)])
+        ("select_m", 3), ("select_m", 0), ("optimizer", "lbfgs"),
+        ("scheme", "bogus"), ("topk_retention", 1.5),
+        ("topk_retention", -0.2), ("topk_retention", 0.0),
+        ("topk_retention", float("nan")), ("straggler_ratio", 7.5),
+        ("straggler_ratio", 1.0), ("straggler_ratio", -0.1),
+        ("straggler_ratio", float("nan")), ("lr_u", float("nan")),
+        ("lr_u", -1.0), ("lr_v", float("inf")), ("lr_v", -1e-3),
+        ("bits_budget", -5), ("bits_budget", 0), ("checkpoint_every", 0),
+        ("clients", [])])
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
@@ -125,6 +133,10 @@ class TestConfigValidation:
          "client 0: cameras must be a list or null"),
         (lambda d: d["clients"][0].update(cameras=[1.0]),
          "client 0: cameras must be a list of ints"),
+        (lambda d: d["clients"][0].update(cameras=[5]),
+         "client 0: camera_ids must be a non-empty subset of 1..4"),
+        (lambda d: d["clients"][1].update(rig="suv"),
+         "client 1: unknown rig preset 'suv'"),
         (lambda d: d["model"].update(n_heads="2"), "n_heads must be an int"),
         (lambda d: d["model"].update(bev_grid=8),
          "bev_grid must be a pair of ints, got 8"),
@@ -167,6 +179,15 @@ class TestConfigValidation:
         assert (cfg.rounds, cfg.warmup_rounds, cfg.batch_size) == (1, 0, 1)
         for m in (1, 2):
             assert tiny_config(select_m=m).select_m == m
+        for field, values in (("topk_retention", (1.0, 1e-3)),
+                              ("straggler_ratio", (0.0, 0.99)),
+                              ("lr_u", (0.0,)), ("lr_v", (0.0,)),
+                              ("bits_budget", (1, None)),
+                              ("checkpoint_every", (1, None)),
+                              ("optimizer", ("adamw", "sgd")),
+                              ("scheme", ("fedavg", "fedrep", "fedtp"))):
+            for value in values:
+                assert getattr(tiny_config(**{field: value}), field) == value
         spec = ClientSpec(rig="car", n_points=2, local_epochs=1)
         assert tiny_config(clients=[spec]).clients == [spec]
 
@@ -191,14 +212,17 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [
         ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
         ("select_m", 3), ("select_m", 0), ("local_epochs", 0),
-        ("n_points", 1)])
+        ("n_points", 1), ("optimizer", "lbfgs"), ("scheme", "bogus"),
+        ("topk_retention", 1.5), ("straggler_ratio", 7.5),
+        ("lr_u", float("nan")), ("lr_v", -1.0), ("bits_budget", -5),
+        ("checkpoint_every", 0), ("clients", []), ("rig", "bogus")])
     def test_field_set_after_construction_fails_before_any_dataset(
             self, key, value, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(experiments, "build_client_dataset",
                             lambda *a, **k: built.append(a))
         cfg = tiny_config()
-        on_client = key in ("local_epochs", "n_points")
+        on_client = key in ("local_epochs", "n_points", "rig")
         setattr(cfg.clients[0] if on_client else cfg, key, value)
         out = tmp_path / "run"
         with pytest.raises(ValueError, match=key):
@@ -281,7 +305,8 @@ class TestRunExperiment:
         assert (on.clients[0].mask == 0).any()
         engine = build_engine(tiny_config(clients=clients, amcm=False))
         for c in engine.clients:
-            assert np.array_equal(c.mask, np.ones(engine.config.bev_grid))
+            assert np.array_equal(c.mask,
+                                  np.ones(engine.config.model.bev_grid))
         records = engine.run_round()
         assert [r.selected for r in records] == [True, True]
         assert all(np.isfinite(r.train_loss) for r in records)
@@ -340,7 +365,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis, values", [
         ("select_m", [1, 5]), ("topk_retention", [1.0, 1.5]),
-        ("straggler_ratio", [0.0, 1.0])])
+        ("straggler_ratio", [0.0, 1.0]), ("select_m", [1, 1.9]),
+        ("local_epochs", [1, 1.9])])
     def test_bad_later_value_fails_before_any_run(self, axis, values,
                                                   tmp_path):
         out = tmp_path / "sw"
@@ -428,7 +454,10 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
         ("topk_retention", 1.5), ("topk_retention", -0.2),
-        ("select_m", 3), ("select_m", 0)])
+        ("select_m", 3), ("select_m", 0), ("optimizer", "lbfgs"),
+        ("scheme", "bogus"), ("straggler_ratio", 7.5),
+        ("lr_u", float("nan")), ("lr_u", -1.0), ("lr_v", float("inf")),
+        ("bits_budget", -5), ("checkpoint_every", 0)])
     def test_out_of_range_setting_exits_1_without_artifacts(
             self, field, value, tmp_path, capsys):
         doc = tiny_config().to_dict() | {field: value}
@@ -437,7 +466,9 @@ class TestCli:
         out = tmp_path / "o"
         code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("local_epochs", 0),
@@ -562,8 +593,12 @@ class TestCli:
         (lambda d: d["clients"][1].pop("rig"),
          "client 1: missing client keys: ['rig']"),
         (lambda d: d["model"].update(n_heads=0), "n_heads must be >= 1"),
+        (lambda d: d["model"].update(encoder_hidden=0),
+         "encoder_hidden must be >= 1"),
+        (lambda d: d["model"].update(world_extent=-4.0),
+         "world_extent must be finite and > 0"),
     ], ids=["unknown-model-key", "missing-model-key", "client-without-rig",
-            "zero-heads"])
+            "zero-heads", "zero-encoder-hidden", "negative-extent"])
     def test_malformed_config_exits_1_with_one_error_line(
             self, edit, message, tmp_path, capsys):
         doc = tiny_config().to_dict()

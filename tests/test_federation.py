@@ -6,36 +6,30 @@ import pytest
 
 import camfed
 from camfed import federation
-from camfed.experiments import build_engine, preset
-from camfed.federation import (ClientState, Delta, EngineOptions,
-                               FederationEngine, aggregate, client_selection,
+from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
+                                preset)
+from camfed.federation import (Delta, aggregate, client_selection,
                                compress_topk, dense_delta, lr_schedule)
 from camfed.metrics import iou
-from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
-from camfed.world import build_client_dataset, rig_from_preset
+from camfed.model import ModelConfig, ToyBevt
 
 SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
                     decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2)
 
 
-def small_clients(n=2, n_points=6, seeds=None, preset_names=None):
-    clients = []
-    for i in range(n):
-        preset_name = (preset_names or ["car", "bus", "truck", "car"])[i % 4]
-        seed = (seeds or list(range(50, 50 + n)))[i]
-        rig = rig_from_preset(preset_name, n_azimuth_bins=12, n_elevation_bins=2)
-        ds = build_client_dataset(rig, n_points, seed=seed, grid=(8, 8))
-        clients.append(ClientState(client_id=i, rig=rig, dataset=ds,
-                                   n_points=n_points, seed=seed))
-    return clients
+def small_engine(n_clients=2, n_points=6, seeds=None, rigs=None, **settings):
+    """An engine on the SMALL model, built from an ExperimentConfig.
 
-
-def small_engine(scheme="fedcap", n_clients=2, rounds=3, seed=11, **opts):
-    options = EngineOptions(lr_u=opts.pop("lr_u", 1e-2),
-                            lr_v=opts.pop("lr_v", 1e-2), **opts)
-    return FederationEngine(SMALL, PartitionPolicy.from_scheme(scheme),
-                            small_clients(n_clients), total_rounds=rounds,
-                            master_seed=seed, options=options)
+    Clients cycle through car, bus, truck, car with data seeds 50, 51, ...
+    unless `rigs` and `seeds` say otherwise; `settings` override the
+    config's fields (`clients` included).
+    """
+    seeds = seeds or range(50, 50 + n_clients)
+    rigs = rigs or ["car", "bus", "truck", "car"] * n_clients
+    clients = [ClientSpec(rig, n_points, seed=s) for rig, s in zip(rigs, seeds)]
+    base = dict(clients=clients, scheme="fedcap", rounds=3, seed=11,
+                warmup_rounds=0, lr_u=1e-2, lr_v=1e-2, model=SMALL)
+    return build_engine(ExperimentConfig(**(base | settings)))
 
 
 class TestAggregate:
@@ -236,12 +230,9 @@ class TestLocalUpdate:
     def test_single_batch_sgd_matches_hand_stepped_oracle(self):
         # one client, one batch, one epoch, plain sgd: the public delta is
         # -lr * (gradient public slice) computed by an independent pass
-        clients = small_clients(1, n_points=3)   # 2 train points, one batch
-        clients[0].batch_size = 4
-        eng = FederationEngine(SMALL, PartitionPolicy.from_scheme("fedcap"),
-                               clients, total_rounds=1, master_seed=3,
-                               options=EngineOptions(optimizer="sgd",
-                                                     lr_u=0.05, lr_v=0.05))
+        eng = small_engine(n_clients=1, n_points=3,   # 2 train points
+                           batch_size=4, rounds=1, seed=3, optimizer="sgd",
+                           lr_u=0.05, lr_v=0.05)
         client = eng.clients[0]
 
         # oracle: rebuild the same model and compute one batch gradient
@@ -268,11 +259,8 @@ class TestLocalUpdate:
         np.testing.assert_allclose(delta.values, expected, atol=1e-12, rtol=0)
 
     def test_identical_clients_give_identical_deltas(self):
-        clients = small_clients(2, seeds=[42, 42],
-                                preset_names=["car", "car"])
-        eng = FederationEngine(SMALL, PartitionPolicy.from_scheme("fedcap"),
-                               clients, total_rounds=1, master_seed=5,
-                               options=EngineOptions(lr_u=1e-2, lr_v=1e-2))
+        eng = small_engine(seeds=[42, 42], rigs=["car", "car"], rounds=1,
+                           seed=5)
         u0 = eng.local_update(eng.clients[0], 1e-2, 1e-2, 1)
         u1 = eng.local_update(eng.clients[1], 1e-2, 1e-2, 1)
         assert np.array_equal(u0.delta.values, u1.delta.values)
@@ -282,11 +270,7 @@ class TestLocalUpdate:
 class TestRunRound:
     def test_degenerate_single_client_round(self):
         # no compression, no stragglers: u becomes the client's local public
-        clients = small_clients(1)
-        eng = FederationEngine(SMALL, PartitionPolicy.from_scheme("fedcap"),
-                               clients, total_rounds=1, master_seed=9,
-                               options=EngineOptions(lr_u=1e-2, lr_v=1e-2,
-                                                     warmup_rounds=1))
+        eng = small_engine(n_clients=1, rounds=1, seed=9, warmup_rounds=1)
         u_before = eng.store.values.copy()
         delta_probe = eng.local_update(eng.clients[0], 1e-2, 1e-2, 1).delta
         recs = eng.run_round()
@@ -318,11 +302,7 @@ class TestRunRound:
         assert all(r.bits_up == 0 and r.bits_down > 0 for r in recs)
 
     def test_privacy_no_private_indices_ever_transmitted(self, monkeypatch):
-        eng = FederationEngine(SMALL, PartitionPolicy.from_scheme("fedcap"),
-                               small_clients(2), total_rounds=3,
-                               master_seed=6,
-                               options=EngineOptions(lr_u=1e-2, lr_v=1e-2,
-                                                     topk_retention=0.3))
+        eng = small_engine(seed=6, topk_retention=0.3)
         sent = []
 
         def recording_aggregate(entries, base_values, public_idx):
@@ -381,10 +361,11 @@ class TestRunRound:
         eng = small_engine(scheme="fedcap", n_clients=3)
         bad = eng.clients[1]
         bad.dataset.train[0].views[:] = np.nan
-        lr = lr_schedule(1, 1e-2, 0, eng.total_rounds)
+        lr = lr_schedule(1, 1e-2, 0, eng.config.rounds)
         expected = aggregate(
             [(c.client_id, eng.local_update(c, lr, lr, 1).delta,
-              float(c.n_points)) for c in (eng.clients[0], eng.clients[2])],
+              float(len(c.dataset.points)))
+             for c in (eng.clients[0], eng.clients[2])],
             eng.store.values, eng.public_idx)
         bad_private = bad.private_values.copy()
         recs = eng.run_round()
@@ -465,53 +446,24 @@ class TestRunRound:
         assert all(r.bits_down == 0 for r in recs if not r.selected)
 
 
-class TestEngineOptions:
-    @pytest.mark.parametrize("retention", [1.5, -0.2, 0.0, float("nan")])
-    def test_topk_retention_outside_unit_interval(self, retention):
-        with pytest.raises(ValueError, match="topk_retention"):
-            EngineOptions(topk_retention=retention)
-
-    def test_topk_retention_bounds_accepted(self):
-        assert EngineOptions(topk_retention=1.0).topk_retention == 1.0
-        assert EngineOptions(topk_retention=1e-3).topk_retention == 1e-3
-
-    @pytest.mark.parametrize("ratio", [1.0, 1.5, -0.1, float("nan")])
-    def test_straggler_ratio_outside_unit_interval(self, ratio):
-        with pytest.raises(ValueError, match="straggler_ratio"):
-            EngineOptions(straggler_ratio=ratio)
-
-    def test_straggler_ratio_bounds_accepted(self):
-        assert EngineOptions(straggler_ratio=0.0).straggler_ratio == 0.0
-        assert EngineOptions(straggler_ratio=0.99).straggler_ratio == 0.99
-
+class TestEngineSettings:
     def test_bits_budget_stops_engine(self):
-        eng = FederationEngine(
-            SMALL, PartitionPolicy.from_scheme("fedavg"), small_clients(2),
-            total_rounds=5, master_seed=2,
-            options=EngineOptions(lr_u=1e-2, lr_v=1e-2, bits_budget=10))
+        eng = small_engine(scheme="fedavg", rounds=5, seed=2, bits_budget=10)
         eng.run()
         assert eng.round == 1
 
     def test_sgd_optimizer_path(self):
-        eng = FederationEngine(
-            SMALL, PartitionPolicy.from_scheme("fedcap"), small_clients(2),
-            total_rounds=2, master_seed=4,
-            options=EngineOptions(optimizer="sgd", lr_u=1e-2, lr_v=1e-2))
+        eng = small_engine(rounds=2, seed=4, optimizer="sgd")
         eng.run()
         assert eng.round == 2
 
     def test_bits_count_every_public_value(self):
         # a front-camera-only rig masks query cells off; its traffic still
         # counts the whole public slice down and the whole delta up
-        rig = rig_from_preset("car", camera_ids=[1], n_azimuth_bins=12,
-                              n_elevation_bins=2)
-        ds = build_client_dataset(rig, 6, seed=80, grid=(8, 8))
-        c = ClientState(client_id=0, rig=rig, dataset=ds, n_points=6, seed=80)
-        eng = FederationEngine(
-            SMALL, PartitionPolicy.from_scheme("fedavg"), [c],
-            total_rounds=1, master_seed=5,
-            options=EngineOptions(lr_u=1e-2, lr_v=1e-2, topk_retention=0.1))
-        assert (c.mask == 0).any()
+        eng = small_engine(
+            clients=[ClientSpec("car", 6, cameras=[1], seed=80)],
+            scheme="fedavg", rounds=1, seed=5, topk_retention=0.1)
+        assert (eng.clients[0].mask == 0).any()
         rec = eng.run_round()[0]
         n_pub = eng.public_idx.size
         assert rec.bits_down == 64 * n_pub
@@ -523,11 +475,9 @@ class TestRunTrend:
         # stochastic claim, so asserted on medians over 5 seeds
         firsts, lasts = [], []
         for seed in range(5):
-            eng = FederationEngine(
-                SMALL, PartitionPolicy.from_scheme("fedcap"),
-                small_clients(3, n_points=10), total_rounds=30,
-                master_seed=100 + seed,
-                options=EngineOptions(lr_u=5e-3, lr_v=5e-3, warmup_rounds=10))
+            eng = small_engine(n_clients=3, n_points=10, rounds=30,
+                               seed=100 + seed, lr_u=5e-3, lr_v=5e-3,
+                               warmup_rounds=10)
             eng.run()
             by_round = {}
             for r in eng.records:
@@ -562,7 +512,7 @@ def test_training_steps_fault_in_no_fresh_heap():
     engine = build_engine(preset("uc1"))
     car = engine.clients[2]
     steps = car.local_epochs * math.ceil(len(car.dataset.train)
-                                         / car.batch_size)
+                                         / engine.config.batch_size)
     engine.local_update(car, 1e-2, 1e-2, 1)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     engine.local_update(car, 1e-2, 1e-2, 1)

@@ -3,11 +3,12 @@ import pytest
 
 from camfed import federation
 from camfed.autodiff import EmptySupportError
-from camfed.federation import ClientState, EngineOptions, FederationEngine
+from camfed.experiments import ClientSpec, ExperimentConfig, build_engine
+from camfed.federation import ClientState
 from camfed.masking import amcm_mask
 from camfed.metrics import (EVAL_CHUNK, convergence_diagnostic,
                             cross_evaluate, iou, mean_ious, rounds_to_target)
-from camfed.model import ModelConfig, PartitionPolicy, ToyBevt
+from camfed.model import ModelConfig, ToyBevt
 from camfed.params import ParamStore
 from camfed.world import ClientDataset, build_client_dataset, rig_from_preset
 
@@ -70,7 +71,7 @@ def make_client(rig, points, seed=0, mask=None):
     """A client whose every point is a test point."""
     return ClientState(client_id=seed, rig=rig,
                        dataset=ClientDataset(points=list(points), n_train=0),
-                       n_points=max(len(points), 1), seed=seed,
+                       seed=seed,
                        mask=amcm_mask(rig, (8, 8), 16.0) if mask is None
                        else mask)
 
@@ -233,15 +234,10 @@ class TestCrossEvaluate:
         cfg = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2,
                           encoder_hidden=8, decoder_hidden=8,
                           n_azimuth_bins=12, n_elevation_bins=2)
-        clients = []
-        for i, seed in enumerate(seeds):
-            rig = rig_from_preset("car", n_azimuth_bins=12, n_elevation_bins=2)
-            ds = build_client_dataset(rig, 6, seed=seed, grid=(8, 8))
-            clients.append(ClientState(client_id=i, rig=rig, dataset=ds,
-                                       n_points=6, seed=seed))
-        eng = FederationEngine(cfg, PartitionPolicy.from_scheme(scheme),
-                               clients, total_rounds=rounds, master_seed=2,
-                               options=EngineOptions(lr_u=1e-2, lr_v=1e-2))
+        eng = build_engine(ExperimentConfig(
+            clients=[ClientSpec("car", 6, seed=s) for s in seeds],
+            scheme=scheme, rounds=rounds, seed=2, warmup_rounds=0,
+            lr_u=1e-2, lr_v=1e-2, model=cfg))
         eng.run()
         return eng
 
@@ -301,7 +297,8 @@ class TestCrossEvaluate:
         out = np.zeros((n, n))
         for j, owner in enumerate(engine.clients):
             for i, data in enumerate(engine.clients):
-                model = ToyBevt(engine.config, engine.personal_store(owner))
+                model = ToyBevt(engine.config.model,
+                                engine.personal_store(owner))
                 out[i, j] = reference_iou(model, data)
         return out
 
