@@ -16,6 +16,7 @@ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
 
 import numpy as np
 
+from camfed.autodiff import bce_with_logits, bce_with_logits_backward
 from camfed.masking import amcm_mask
 from camfed.metrics import iou
 from camfed.model import ModelConfig, ToyBevt, init_params
@@ -41,16 +42,15 @@ def main():
         losses = []
         for lo in range(0, len(order), 4):
             batch = [dataset.train[i] for i in order[lo:lo + 4]]
-            model.zero_grads()
-            logits = model.forward_batch([p.views for p in batch], rig)
-            loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
-                              mask)
-            model.backward(loss)
+            logits, acts = model.forward_batch([p.views for p in batch], rig)
+            targets = np.stack([p.bev_gt for p in batch])
+            model.backward(acts, bce_with_logits_backward(logits, targets,
+                                                          mask))
             opt.step(model.params, lr=5e-3)
-            losses.append(loss.item())
+            losses.append(bce_with_logits(logits, targets, mask))
         if epoch % 5 == 4:
-            scores = [iou(model.forward(p.views, rig).data, p.bev_gt,
-                          mask) for p in dataset.test]
+            scores = [iou(model.forward(p.views, rig), p.bev_gt, mask)
+                      for p in dataset.test]
             print(f"epoch {epoch + 1:3d}: loss {np.mean(losses):.4f}  "
                   f"test IoU {np.mean(scores):.4f} "
                   f"(no-vehicle baseline {baseline:.4f})")

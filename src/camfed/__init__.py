@@ -1,7 +1,7 @@
 """camfed: deterministic federated-learning simulation for multi-camera
 bird's-eye-view perception.
 
-The package ships a small reverse-mode tensor engine, a synthetic
+The package ships hand-differentiated float64 kernels, a synthetic
 multi-camera world with analytic BEV ground truth, a desk-scale BEV
 transformer with a public/private parameter partition registry, FoV-union
 query masking, a federated round engine with selection / compression /

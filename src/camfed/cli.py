@@ -55,10 +55,20 @@ def cmd_preset(args) -> int:
     return 0
 
 
+def _sweep_value(axis: str, text: str):
+    """One --values item, parsed as the type of the axis's setting."""
+    kind = SWEEPABLE[axis]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{axis} takes {'whole' if kind is int else 'real'}"
+                         f" numbers, got {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     config = _apply_seed_and_scale(ExperimentConfig.from_json(args.config),
                                    args.seed, args.scale)
-    values = [float(v) if "." in v else int(v)
+    values = [_sweep_value(args.axis, v)
               for v in args.values.split(",") if v != ""]
     rows = sweep(config, args.axis, values, args.out, workers=args.workers)
     for value, seed, rounds, mean_iou, bits in rows:

@@ -25,7 +25,7 @@ from .metrics import (CrossEvalMatrix, EvalReport, cross_evaluate,
 from .model import (ModelConfig, PartitionPolicy, check_field_types,
                     check_keys, save_checkpoint)
 from .seeding import derive_seed
-from .world import build_client_dataset, rig_from_preset
+from .world import N_VIEW_CHANNELS, build_client_dataset, rig_from_preset
 
 CSV_HEADER = ("round,client_id,selected,straggler,train_loss,val_iou,"
               "bits_up,bits_down,cum_bits")
@@ -76,6 +76,10 @@ class ExperimentConfig:
         check_field_types(self)
         if not self.clients:
             raise ValueError("config needs a non-empty 'clients' list")
+        if self.model.n_view_channels != N_VIEW_CHANNELS:
+            raise ValueError(f"model.n_view_channels must be {N_VIEW_CHANNELS}"
+                             f" (the rendered channels), got "
+                             f"{self.model.n_view_channels}")
         for idx, spec in enumerate(self.clients):
             check_field_types(spec, f"client {idx}: ")
             if spec.cameras is not None and not all(
@@ -83,9 +87,13 @@ class ExperimentConfig:
                 raise ValueError(f"client {idx}: cameras must be a list of "
                                  f"ints, got {spec.cameras!r}")
             try:
-                rig_from_preset(spec.rig, camera_ids=spec.cameras)
+                rig = rig_from_preset(spec.rig, camera_ids=spec.cameras)
             except ValueError as err:
                 raise ValueError(f"client {idx}: {err}") from None
+            if len(rig) > self.model.max_cameras:
+                raise ValueError(f"client {idx}: rig has {len(rig)} cameras, "
+                                 f"more than model.max_cameras "
+                                 f"{self.model.max_cameras}")
             if spec.local_epochs < 1:
                 raise ValueError(f"client {idx}: local_epochs must be >= 1")
             if spec.n_points < 2:
@@ -327,7 +335,9 @@ def _write_checkpoint(engine: FederationEngine, path) -> None:
                           "config": config.to_dict()})
 
 
-SWEEPABLE = ("local_epochs", "topk_retention", "straggler_ratio", "select_m")
+# each sweepable setting and the type of its values
+SWEEPABLE = {"local_epochs": int, "topk_retention": float,
+             "straggler_ratio": float, "select_m": int}
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir,
@@ -339,10 +349,10 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir,
     """
     _check_workers(workers)
     if axis not in SWEEPABLE:
-        raise ValueError(f"axis must be one of {SWEEPABLE}")
+        raise ValueError(f"axis must be one of {tuple(SWEEPABLE)}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    whole = axis in ("local_epochs", "select_m")
+    whole = SWEEPABLE[axis] is int
     configs = []
     for i, value in enumerate(values):
         # a run labelled 1.9 must not quietly run with 1

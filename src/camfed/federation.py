@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import bce_with_logits, bce_with_logits_backward
 from .masking import amcm_mask
 from .metrics import mean_ious
 from .model import PartitionPolicy, ToyBevt, init_params, split_params
@@ -55,8 +56,10 @@ def dense_delta(public_idx: np.ndarray, diff: np.ndarray) -> Delta:
 def compress_topk(delta: Delta, retention: float) -> Delta:
     """Keep the ceil(retention * n) largest-magnitude entries.
 
-    Ties break toward the lower index. retention == 1 is a dense
-    passthrough.
+    Ties break toward the lower index, and a nan magnitude ranks below
+    every number. retention == 1 is a dense passthrough. One O(n)
+    partition finds the k-th largest magnitude; every entry above it stays,
+    and so do the lowest-index entries tied with it, until k are kept.
     """
     if not (0.0 < retention <= 1.0):
         raise ValueError("retention must be in (0, 1]")
@@ -64,9 +67,14 @@ def compress_topk(delta: Delta, retention: float) -> Delta:
         return delta
     n = delta.values.size
     k = int(math.ceil(retention * n))
-    # lexsort uses the last key as primary: magnitude desc, then index asc
-    order = np.lexsort((delta.indices, -np.abs(delta.values)))
-    keep = np.sort(order[:k])
+    key = -np.abs(delta.values)         # ascending key; nan sorts last
+    kth = np.partition(key, k - 1)[k - 1]
+    if np.isnan(kth):
+        above, tied = ~np.isnan(key), np.isnan(key)
+    else:
+        above, tied = key < kth, key == kth
+    tied[np.flatnonzero(tied)[k - np.count_nonzero(above):]] = False
+    keep = np.flatnonzero(above | tied)
     return Delta(indices=delta.indices[keep], values=delta.values[keep],
                  dense=False, bits_upload=k * (INDEX_BITS + VALUE_BITS))
 
@@ -185,12 +193,13 @@ class FederationEngine:
 
     def _batch_backward(self, model: ToyBevt, client: ClientState,
                         batch) -> float:
-        model.zero_grads()
-        logits = model.forward_batch([p.views for p in batch], client.rig)
-        loss = model.loss(logits, np.stack([p.bev_gt for p in batch]),
-                          client.mask)
-        model.backward(loss)
-        return loss.item()
+        """The batch's loss; its gradient is left in model.params.grads."""
+        logits, acts = model.forward_batch([p.views for p in batch],
+                                           client.rig)
+        targets = np.stack([p.bev_gt for p in batch])
+        model.backward(acts, bce_with_logits_backward(logits, targets,
+                                                      client.mask))
+        return bce_with_logits(logits, targets, client.mask)
 
     def local_update(self, client: ClientState, lr_u: float, lr_v: float,
                      round_no: int) -> ClientUpdate:

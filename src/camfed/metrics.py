@@ -42,23 +42,23 @@ def mean_ious(model: ToyBevt, clients: list) -> list:
     test points gets nan. Clients with equal rig geometry and mask form one
     group, whose test points run through forward_batch EVAL_CHUNK at a time
     whichever client they belong to: a point's logits do not depend on its
-    batch-mates, and the bound keeps each forward's arrays small. The
-    parameters enter as constants, so no gradient tape is built.
+    batch-mates, and the bound keeps each forward's arrays small. Each
+    forward's activations are dropped as soon as it returns.
     """
     groups = {}
     for k, c in enumerate(clients):
         key = (rig_key(c.rig), c.mask.shape, c.mask.tobytes())
         groups.setdefault(key, []).append(k)
     scores = [[] for _ in clients]
-    with model._constants():
-        for members in groups.values():
-            rig, mask = clients[members[0]].rig, clients[members[0]].mask
-            jobs = [(k, p) for k in members for p in clients[k].dataset.test]
-            for lo in range(0, len(jobs), EVAL_CHUNK):
-                chunk = jobs[lo:lo + EVAL_CHUNK]
-                logits = model.forward_batch([p.views for _, p in chunk], rig)
-                for (k, p), lg in zip(chunk, logits.data):
-                    scores[k].append(iou(lg, p.bev_gt, mask))
+    for members in groups.values():
+        rig, mask = clients[members[0]].rig, clients[members[0]].mask
+        jobs = [(k, p) for k in members for p in clients[k].dataset.test]
+        for lo in range(0, len(jobs), EVAL_CHUNK):
+            chunk = jobs[lo:lo + EVAL_CHUNK]
+            # index the pair, so the activations go before the next forward
+            logits = model.forward_batch([p.views for _, p in chunk], rig)[0]
+            for (k, p), lg in zip(chunk, logits):
+                scores[k].append(iou(lg, p.bev_gt, mask))
     return [float(np.mean(s)) if s else float("nan") for s in scores]
 
 

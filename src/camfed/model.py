@@ -16,17 +16,17 @@ Tokens are (camera, azimuth-bin) pairs; the elevation axis of the rendered
 views is folded into the token channel dimension.
 """
 
+import functools
 import json
 import math
 import struct
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import get_args
+from types import MappingProxyType
+from typing import NamedTuple, get_args
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .params import ParamStore
 from .world import CameraRig, azimuth_bin_angles, cell_centers, in_fov_bins
 
@@ -285,110 +285,119 @@ def split_params(store: ParamStore, policy: PartitionPolicy):
 # The model
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _plan(config: ModelConfig):
+    """What every model of `config` shares, built once per config and
+    read-only: {key: (flat slice, shape)} of each parameter array, the
+    (name, length) of each segment, and the query-cell features."""
+    layout = build_layout(config)
+    offsets, seg_sizes, offset = {}, [], 0
+    for name in SEGMENT_NAMES:
+        start = offset
+        for key, shape in layout[name]:
+            size = int(np.prod(shape))
+            offsets[key] = (slice(offset, offset + size), shape)
+            offset += size
+        seg_sizes.append((name, offset - start))
+    cells = cell_features(config)
+    cells.setflags(write=False)
+    return MappingProxyType(offsets), tuple(seg_sizes), cells
+
+
+_RIG_GEOMETRY = {}
+
+
+def _rig_geometry(rig: CameraRig, n_bins: int):
+    """(ray features of the active bins, active-bin mask) for a rig.
+
+    Only bins inside a camera's field of view become attention tokens; the
+    remaining bins never carry content and a real camera would not produce
+    them at all. Computed once per (`rig_key`, n_bins) and shared,
+    read-only, by every model and thread.
+    """
+    key = (rig_key(rig), n_bins)
+    geometry = _RIG_GEOMETRY.get(key)
+    if geometry is None:
+        active = np.concatenate([in_fov_bins(c, n_bins) for c in rig.cameras])
+        if not active.any():
+            raise ValueError("no azimuth bin falls inside any camera FoV")
+        geometry = (ray_features(rig, n_bins)[active], active)
+        for a in geometry:
+            a.setflags(write=False)
+        _RIG_GEOMETRY[key] = geometry
+    return geometry
+
+
+class Activations(NamedTuple):
+    """What `ToyBevt.backward` reads of one `forward_batch`: each stage's
+    input rows, hidden relu outputs and layer-norm outputs."""
+    batch: int
+    tokens: np.ndarray          # encoder input, (batch*n_tok, token_dim)
+    enc_hidden: np.ndarray
+    pos_in: np.ndarray          # ray features of the active bins, (n_tok, 3)
+    pos_hidden: np.ndarray
+    tok: np.ndarray             # layer-normed tokens, (batch*n_tok, f)
+    tok_inv_std: np.ndarray
+    query: np.ndarray           # query rows anchored to their cells, (n_cells, f)
+    attn_kept: tuple
+    context: np.ndarray         # attention output before wo, (batch*n_cells, f)
+    q2: np.ndarray
+    q2_inv_std: np.ndarray
+    refine_hidden: np.ndarray
+    qs: np.ndarray
+    qs_inv_std: np.ndarray
+    dec_hidden: np.ndarray
+
+
 class ToyBevt:
     """Five-stage camera-to-BEV model over a ParamStore.
 
-    forward() builds a fresh graph whose leaves wrap the store's current
-    values; backward() scatters leaf gradients back into store.grads.
-    Inside `_constants()` the values enter as constants instead, so a
-    forward builds no graph and records no leaves.
+    `forward_batch` runs the stages straight through on the store's current
+    values and returns the logits with the `Activations` that `backward`
+    reads; `backward` writes every parameter's gradient into store.grads.
     """
 
     def __init__(self, config: ModelConfig, params: ParamStore | None = None,
                  seed: int | None = None):
         self.config = config
-        self.layout = build_layout(config)
+        self._offsets, seg_sizes, self._cell_features = _plan(config)
         if params is None:
             params = init_params(config, 0 if seed is None else seed)
-        expected = [(name, sum(int(np.prod(s)) for _, s in self.layout[name]))
-                    for name in SEGMENT_NAMES]
-        actual = [(s.name, s.length) for s in params.segments]
-        if expected != actual:
+        if seg_sizes != tuple((s.name, s.length) for s in params.segments):
             raise ValueError("ParamStore layout does not match model config")
         self.params = params
-        self._offsets = {}
-        for name in SEGMENT_NAMES:
-            offset = params.slice_of(name).start
-            for key, shape in self.layout[name]:
-                size = int(np.prod(shape))
-                self._offsets[key] = (slice(offset, offset + size), shape)
-                offset += size
-        self._leaves = []
-        self._tape = True
-        self._rig_cache = {}
-        self._cell_features = cell_features(config)
+        self._shaped = {}
 
-    # -- parameter access ---------------------------------------------------
+    def _arrays(self, flat: np.ndarray) -> dict:
+        """{key: view of `flat` shaped as that parameter}.
 
-    def _leaf(self, key: str) -> Tensor:
-        sl, shape = self._offsets[key]
-        values = self.params.values[sl].reshape(shape)
-        if not self._tape:
-            return ad.constant(values)
-        t = Tensor(values, requires_grad=True)
-        self._leaves.append((sl, t))
-        return t
-
-    @contextmanager
-    def _constants(self):
-        """Forwards inside the block take the parameters as constants."""
-        self._tape = False
-        try:
-            yield
-        finally:
-            self._tape = True
-
-    def _rig_geometry(self, rig: CameraRig):
-        """(ray features, active-bin mask) for a rig, cached by `rig_key`.
-
-        Only bins inside a camera's field of view become attention tokens;
-        the remaining bins never carry content and a real camera would not
-        produce them at all.
+        The store updates its values and grads in place, so the views are
+        made once per array, and again only for an array not seen before.
         """
-        cache_key = rig_key(rig)
-        if cache_key not in self._rig_cache:
-            n_bins = self.config.n_azimuth_bins
-            rays = ray_features(rig, n_bins)
-            active = np.concatenate([in_fov_bins(c, n_bins) for c in rig.cameras])
-            if not active.any():
-                raise ValueError("no azimuth bin falls inside any camera FoV")
-            self._rig_cache[cache_key] = (rays, active)
-        return self._rig_cache[cache_key]
+        made = self._shaped.get(id(flat))
+        if made is None or made[0] is not flat:
+            if len(self._shaped) > 1:
+                self._shaped.clear()
+            made = self._shaped[id(flat)] = (flat, {
+                key: flat[sl].reshape(shape)
+                for key, (sl, shape) in self._offsets.items()})
+        return made[1]
 
-    def _mlp(self, x: Tensor, prefix: str, n_layers: int = 2) -> Tensor:
-        h = x
-        for i in range(1, n_layers + 1):
-            h = ad.affine(h, self._leaf(f"{prefix}.w{i}"),
-                          self._leaf(f"{prefix}.b{i}"))
-            if i < n_layers:
-                h = ad.relu(h)
-        return h
-
-    # -- pipeline stages ----------------------------------------------------
-
-    def _pos_tokens(self, rig: CameraRig) -> Tensor:
-        """Positional embedding for the active (in-FoV) bins only."""
-        rays, active = self._rig_geometry(rig)
-        geo = ad.constant(rays[active])
-        return self._mlp(geo, "pos_embed")
-
-    def forward(self, views: np.ndarray, rig: CameraRig) -> Tensor:
+    def forward(self, views: np.ndarray, rig: CameraRig) -> np.ndarray:
         """Per-cell logits over the BEV grid, shape bev_grid.
 
         Logits are produced for every cell, so the output shape is
         rig-independent; a FoV mask gates only the loss and the metrics.
         """
-        return ad.reshape(self.forward_batch([views], rig),
-                          self.config.bev_grid)
+        return self.forward_batch([views], rig)[0][0]
 
-    def forward_batch(self, views_list: list, rig: CameraRig) -> Tensor:
-        """Logits for several data points of the same rig in one graph,
-        shape (len(views_list), *bev_grid).
+    def forward_batch(self, views_list: list, rig: CameraRig):
+        """(logits, Activations) for several data points of the same rig;
+        the logits are (len(views_list), *bev_grid).
 
-        The positional branch and all parameter leaves are shared across the
-        batch, and the row-wise stages (encoder, refine, decoder) run on the
-        stacked rows, so a batch costs far less than len(views_list)
-        single-sample graphs.
+        The positional branch and the query rows are shared across the
+        batch and added to the per-sample rows by broadcasting; the
+        row-wise stages (encoder, refine, decoder) run on the stacked rows.
         """
         cfg = self.config
         n_cams = views_list[0].shape[0]
@@ -398,54 +407,101 @@ class ToyBevt:
         if len(rig) != n_cams:
             raise ValueError("views and rig disagree on camera count")
 
-        _, active = self._rig_geometry(rig)
-        batch = len(views_list)
-        stacked = np.concatenate(
+        pos_in, active = _rig_geometry(rig, cfg.n_azimuth_bins)
+        batch, f = len(views_list), cfg.feat_dim
+        p = self._arrays(self.params.values)
+        tokens = np.concatenate(
             [v.reshape(len(active), cfg.token_dim)[active]
              for v in views_list], axis=0)
-        enc_all = self._mlp(ad.constant(stacked), "encoder")
-        pos = ad.tile_rows(self._pos_tokens(rig), batch)
-        tok = ad.layer_norm(ad.add(enc_all, pos))     # (batch*n_tok, f)
+        enc_hidden = ad.relu(ad.affine(tokens, p["encoder.w1"],
+                                       p["encoder.b1"]))
+        enc = ad.affine(enc_hidden, p["encoder.w2"], p["encoder.b2"])
+        pos_hidden = ad.relu(ad.affine(pos_in, p["pos_embed.w1"],
+                                       p["pos_embed.b1"]))
+        pos = ad.affine(pos_hidden, p["pos_embed.w2"], p["pos_embed.b2"])
+        tok, tok_inv_std = ad.layer_norm(
+            (enc.reshape(batch, -1, f) + pos).reshape(-1, f))
 
-        q = self._leaf("bev_query.q")       # (n_cells, f), shared by the batch
-        geo = ad.matmul(ad.constant(self._cell_features),
-                        self._leaf("attention.wc"))
-        q = ad.add(q, geo)                  # anchor each query row to its cell
-        qp = ad.matmul(q, self._leaf("attention.wq"))
-        kp = ad.matmul(tok, self._leaf("attention.wk"))
-        vp = ad.matmul(tok, self._leaf("attention.wv"))
-        attn = ad.affine(ad.batched_cross_attention(qp, kp, vp, cfg.n_heads,
-                                                    batch),
-                         self._leaf("attention.wo"), self._leaf("attention.bo"))
-        q = ad.layer_norm(ad.add(ad.tile_rows(q, batch), attn))
+        # anchor each query row to its cell; the batch shares the rows
+        query = p["bev_query.q"] + ad.matmul(self._cell_features,
+                                             p["attention.wc"])
+        qp = ad.matmul(query, p["attention.wq"])
+        kp = ad.matmul(tok, p["attention.wk"])
+        vp = ad.matmul(tok, p["attention.wv"])
+        context, attn_kept = ad.batched_cross_attention(qp, kp, vp,
+                                                        cfg.n_heads, batch)
+        attended = ad.affine(context, p["attention.wo"], p["attention.bo"])
+        q2, q2_inv_std = ad.layer_norm(
+            (attended.reshape(batch, -1, f) + query).reshape(-1, f))
 
-        qs = ad.layer_norm(ad.add(q, self._mlp(q, "refine")))
-        logits_all = self._mlp(qs, "decoder")
-        return ad.reshape(logits_all, (batch, *cfg.bev_grid))
+        refine_hidden = ad.relu(ad.affine(q2, p["refine.w1"],
+                                          p["refine.b1"]))
+        refined = ad.affine(refine_hidden, p["refine.w2"], p["refine.b2"])
+        refined += q2
+        qs, qs_inv_std = ad.layer_norm(refined)
+        dec_hidden = ad.relu(ad.affine(qs, p["decoder.w1"], p["decoder.b1"]))
+        logits = ad.affine(dec_hidden, p["decoder.w2"], p["decoder.b2"])
+        return logits.reshape(batch, *cfg.bev_grid), Activations(
+            batch, tokens, enc_hidden, pos_in, pos_hidden, tok, tok_inv_std,
+            query, attn_kept, context, q2, q2_inv_std, refine_hidden, qs,
+            qs_inv_std, dec_hidden)
 
-    def loss(self, logits: Tensor, targets: np.ndarray,
-             mask: np.ndarray) -> Tensor:
-        return ad.bce_with_logits(logits, targets, mask)
+    def backward(self, acts: Activations, dlogits: np.ndarray) -> None:
+        """Write the gradient of every parameter into params.grads, given
+        a `forward_batch`'s activations and the loss gradient of its logits.
 
-    # -- gradient plumbing ---------------------------------------------------
-
-    def zero_grads(self) -> None:
-        self.params.zero_grads()
-        self._leaves.clear()
-
-    def backward(self, loss: Tensor) -> None:
-        """Backprop and scatter gradients into params.grads.
-
-        Accumulates across every forward() since the last zero_grads().
-        A query cell that the loss masks out gets exactly zero gradient:
-        each query row reaches only its own cell's logit (attention mixes
-        the keys, not the queries, and every later stage is row-wise).
+        Overwrites whatever params.grads held. A query cell that the loss
+        masks out gets exactly zero gradient: each query row reaches only
+        its own cell's logit (attention mixes the keys, not the queries,
+        and every later stage is row-wise).
         """
-        loss.backward()
-        for sl, leaf in self._leaves:
-            if leaf.grad is not None:
-                self.params.grads[sl] += leaf.grad.ravel()
-        self._leaves.clear()
+        a = acts
+        p = self._arrays(self.params.values)
+        gp = self._arrays(self.params.grads)
+        f = self.config.feat_dim
+
+        g = ad.affine_backward(dlogits.reshape(-1, 1), a.dec_hidden,
+                               p["decoder.w2"], gp["decoder.w2"],
+                               gp["decoder.b2"])
+        g = ad.affine_backward(ad.relu_backward(g, a.dec_hidden), a.qs,
+                               p["decoder.w1"], gp["decoder.w1"],
+                               gp["decoder.b1"])
+        g_refined = ad.layer_norm_backward(g, a.qs, a.qs_inv_std)
+        g = ad.affine_backward(g_refined, a.refine_hidden, p["refine.w2"],
+                               gp["refine.w2"], gp["refine.b2"])
+        g = g_refined + ad.affine_backward(
+            ad.relu_backward(g, a.refine_hidden), a.q2, p["refine.w1"],
+            gp["refine.w1"], gp["refine.b1"])
+        g_attended = ad.layer_norm_backward(g, a.q2, a.q2_inv_std)
+
+        g = ad.affine_backward(g_attended, a.context, p["attention.wo"],
+                               gp["attention.wo"], gp["attention.bo"])
+        g_qp, g_kp, g_vp = ad.batched_cross_attention_backward(g, a.attn_kept)
+        g_tok = ad.matmul_backward(g_vp, a.tok, p["attention.wv"],
+                                   gp["attention.wv"])
+        g_tok = g_tok + ad.matmul_backward(g_kp, a.tok, p["attention.wk"],
+                                           gp["attention.wk"])
+        g_query = gp["bev_query.q"]
+        np.add(g_attended.reshape(a.batch, -1, f).sum(axis=0),
+               ad.matmul_backward(g_qp, a.query, p["attention.wq"],
+                                  gp["attention.wq"]), out=g_query)
+        ad.matmul_backward(g_query, self._cell_features, p["attention.wc"],
+                           gp["attention.wc"], da=False)
+
+        g_sum = ad.layer_norm_backward(g_tok, a.tok, a.tok_inv_std)
+        g = ad.affine_backward(g_sum.reshape(a.batch, -1, f).sum(axis=0),
+                               a.pos_hidden, p["pos_embed.w2"],
+                               gp["pos_embed.w2"], gp["pos_embed.b2"])
+        ad.affine_backward(ad.relu_backward(g, a.pos_hidden), a.pos_in,
+                           p["pos_embed.w1"], gp["pos_embed.w1"],
+                           gp["pos_embed.b1"], dx=False)
+        g = ad.affine_backward(g_sum, a.enc_hidden, p["encoder.w2"],
+                               gp["encoder.w2"], gp["encoder.b2"])
+        ad.affine_backward(ad.relu_backward(g, a.enc_hidden), a.tokens,
+                           p["encoder.w1"], gp["encoder.w1"],
+                           gp["encoder.b1"], dx=False)
+        # a -0.0 becomes +0.0, as if each gradient were added onto zeros
+        self.params.grads += 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,6 @@ class ParamStore:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts).astype(np.int64)
 
-    def zero_grads(self) -> None:
-        self.grads.fill(0.0)
-
     def clone(self) -> "ParamStore":
         out = ParamStore([(s.name, s.length) for s in self.segments], self.values)
         out.grads = self.grads.copy()

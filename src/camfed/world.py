@@ -231,8 +231,11 @@ def elevation_bin(elev_cam_deg: float, n_bins: int) -> int:
     return min(max(math.floor(frac * n_bins), 0), n_bins - 1)
 
 
+N_VIEW_CHANNELS = 4
+
+
 def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
-    """Ray-cast the scene into an (L, A, E, 4) feature grid.
+    """Ray-cast the scene into an (L, A, E, N_VIEW_CHANNELS) feature grid.
 
     The elevation channel stores atan2(-height, d) / (pi/2); the elevation
     bin is chosen from the camera-frame angle atan2(-height, d) - pitch, so
@@ -240,7 +243,7 @@ def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
     """
     first = rig.cameras[0]
     n_a, n_e = first.n_azimuth_bins, first.n_elevation_bins
-    views = np.zeros((len(rig), n_a, n_e, 4), dtype=np.float64)
+    views = np.zeros((len(rig), n_a, n_e, N_VIEW_CHANNELS), dtype=np.float64)
     cams, bins, ux, uy = _rig_rays(rig)
     dists, radii = _nearest_hits(scene, ux, uy)
     hit = np.flatnonzero(np.isfinite(dists))

@@ -4,7 +4,7 @@ No demo's main() runs here: they take minutes. Instead every demo module is
 imported, and two stdlib-`ast` passes check the attributes a demo reads only
 when it runs: those read on a name bound to a `build_engine(...)` result,
 against a real FederationEngine, and those read on a camfed module bound by
-an import (`from camfed import autodiff as ad` ... `ad.add`), against that
+an import (`from camfed import autodiff as ad` ... `ad.affine`), against that
 module.
 """
 
@@ -127,10 +127,10 @@ def test_checker_flags_a_removed_module_attribute():
               "def main(x, model):\n"
               "    rig = w.rig_from_preset('car')\n"
               "    model.forward_batch([x], rig)\n"
-              "    return ad.add_n([ad.add(x, x), ToyBevt.loss])\n")
+              "    return ad.add_n([ad.affine(x, x, x), ToyBevt.loss])\n")
     reads = module_attribute_reads(source)
     assert reads == [(5, "camfed.world", "rig_from_preset"),
-                     (7, "camfed.autodiff", "add"),
-                     (7, "camfed.autodiff", "add_n")]
+                     (7, "camfed.autodiff", "add_n"),
+                     (7, "camfed.autodiff", "affine")]
     assert [a for _, m, a in reads
             if not hasattr(importlib.import_module(m), a)] == ["add_n"]

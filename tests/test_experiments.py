@@ -103,6 +103,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"clients": []})
 
+    def test_sweep_values_parse_as_the_axis_type(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        tiny_config(rounds=1).save_json(cfg_path)
+        out = tmp_path / "sw"
+        code = cli_main(["sweep", "--config", str(cfg_path), "--axis",
+                         "topk_retention", "--values", "1e-1,1",
+                         "--out", str(out)])
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0.1", "1.0"]
+        assert (out / "topk_retention_0.1" / "rounds.csv").exists()
+        capsys.readouterr()
+        code = cli_main(["sweep", "--config", str(cfg_path), "--axis",
+                         "select_m", "--values", "1,1.5",
+                         "--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: select_m takes whole numbers, got '1.5'\n")
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
         ("select_m", 3), ("select_m", 0), ("optimizer", "lbfgs"),
@@ -451,13 +471,35 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
 
+    def test_sweep_values_parse_as_the_axis_type(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        tiny_config(rounds=1).save_json(cfg_path)
+        out = tmp_path / "sw"
+        code = cli_main(["sweep", "--config", str(cfg_path), "--axis",
+                         "topk_retention", "--values", "1e-1,1",
+                         "--out", str(out)])
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0.1", "1.0"]
+        assert (out / "topk_retention_0.1" / "rounds.csv").exists()
+        capsys.readouterr()
+        code = cli_main(["sweep", "--config", str(cfg_path), "--axis",
+                         "select_m", "--values", "1,1.5",
+                         "--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: select_m takes whole numbers, got '1.5'\n")
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
         ("topk_retention", 1.5), ("topk_retention", -0.2),
         ("select_m", 3), ("select_m", 0), ("optimizer", "lbfgs"),
         ("scheme", "bogus"), ("straggler_ratio", 7.5),
         ("lr_u", float("nan")), ("lr_u", -1.0), ("lr_v", float("inf")),
-        ("bits_budget", -5), ("checkpoint_every", 0)])
+        ("bits_budget", -5), ("checkpoint_every", 0),
+        ("model", tiny_config().model.to_dict() | {"n_view_channels": 3}),
+        ("model", tiny_config().model.to_dict() | {"max_cameras": 2})])
     def test_out_of_range_setting_exits_1_without_artifacts(
             self, field, value, tmp_path, capsys):
         doc = tiny_config().to_dict() | {field: value}

@@ -3,6 +3,8 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import camfed
 from camfed import federation
@@ -137,6 +139,33 @@ class TestCompressTopk:
             np.testing.assert_array_equal(out.indices, expected)
             assert out.bits_upload == k * 96
 
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(),
+           values=st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.nan,
+                                math.inf, -math.inf]),
+               st.floats(allow_nan=True, allow_infinity=True)),
+               min_size=1, max_size=60))
+    def test_keeps_the_lexsort_set(self, data, values):
+        # ties, zeros of either sign, nan and infinities, at retentions of
+        # 1/n, 1 and anything between; the rule: magnitude descending (nan
+        # last), then index ascending, first ceil(retention * n) entries
+        n = len(values)
+        vals = np.array(values)
+        gaps = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        idx = np.cumsum(gaps).astype(np.int64)
+        rho = data.draw(st.one_of(st.just(1.0 / n), st.just(1.0),
+                                  st.floats(1e-9, 1.0)))
+        out = compress_topk(Delta(indices=idx, values=vals, dense=True,
+                                  bits_upload=0), rho)
+        k = math.ceil(rho * n)
+        keep = np.sort(np.lexsort((idx, -np.abs(vals)))[:k])
+        np.testing.assert_array_equal(out.indices, idx[keep])
+        np.testing.assert_array_equal(out.values.view(np.int64),
+                                      vals[keep].view(np.int64))
+        assert out.indices.size == k
+
     def test_invalid_retention(self):
         d = dense_delta(np.arange(2, dtype=np.int64), np.zeros(2))
         for rho in (0.0, -0.1, 1.1):
@@ -236,6 +265,7 @@ class TestLocalUpdate:
         client = eng.clients[0]
 
         # oracle: rebuild the same model and compute one batch gradient
+        from camfed.autodiff import bce_with_logits_backward
         from camfed.model import ToyBevt
         from camfed.params import ParamStore
         from camfed.seeding import derive_rng
@@ -245,13 +275,10 @@ class TestLocalUpdate:
         rng = derive_rng(3, "batch", 1, client.seed)
         order = rng.permutation(len(client.dataset.train))
         batch = [client.dataset.train[i] for i in order]
-        model.zero_grads()
-        logits = model.forward_batch([p.views for p in batch], client.rig)
-        model.loss(logits, np.stack([p.bev_gt for p in batch]),
-                   client.mask).backward()
-        for sl, leaf in model._leaves:
-            if leaf.grad is not None:
-                local.grads[sl] += leaf.grad.ravel()
+        logits, acts = model.forward_batch([p.views for p in batch],
+                                           client.rig)
+        model.backward(acts, bce_with_logits_backward(
+            logits, np.stack([p.bev_gt for p in batch]), client.mask))
         expected = -0.05 * local.grads[eng.public_idx]
 
         delta = eng.local_update(client, lr_u=0.05, lr_v=0.05,
@@ -408,7 +435,7 @@ class TestRunRound:
         assert [m for m, _ in calls] == built[len(selected):]
         for r, c in zip(recs, eng.clients):
             model = ToyBevt(SMALL, eng.personal_store(c))
-            ref = np.mean([iou(model.forward(p.views, c.rig).data,
+            ref = np.mean([iou(model.forward(p.views, c.rig),
                                p.bev_gt, c.mask) for p in c.dataset.test])
             assert r.val_iou == float(ref)
 

@@ -78,7 +78,7 @@ def make_client(rig, points, seed=0, mask=None):
 
 def reference_iou(model, client):
     """Mean IoU over one taped forward per test point; nan without points."""
-    scores = [iou(model.forward(p.views, client.rig).data,
+    scores = [iou(model.forward(p.views, client.rig),
                   p.bev_gt, client.mask) for p in client.dataset.test]
     return float(np.mean(scores)) if scores else float("nan")
 
@@ -93,7 +93,7 @@ class TestMeanIou:
         # centre the decoder bias so predictions mix positives and negatives
         sl, _ = model._offsets["decoder.b2"]
         model.params.values[sl] -= np.median(
-            model.forward(points[0].views, rig).data)
+            model.forward(points[0].views, rig))
         return model
 
     @staticmethod
@@ -124,7 +124,7 @@ class TestMeanIou:
         client = make_client(
             rig, build_client_dataset(rig, 17, seed=3, grid=(8, 8)).points)
         model = self.mixed_model(rig, client.dataset.test)
-        single = [iou(model.forward(p.views, rig).data, p.bev_gt,
+        single = [iou(model.forward(p.views, rig), p.bev_gt,
                       client.mask) for p in client.dataset.test]
         assert len(set(single)) > 1
         assert mean_ious(model, [client]) == [float(np.mean(single))]
@@ -157,17 +157,19 @@ class TestMeanIou:
         assert EVAL_CHUNK == 8
         assert sizes == [5, 8, 5, 4, 8, 1, 3]
 
-    def test_builds_no_tape(self):
+    def test_keeps_nothing_between_calls(self):
         rig = self.rig("car")
         client = make_client(
             rig, build_client_dataset(rig, 20, seed=3, grid=(8, 8)).points)
         model = ToyBevt(self.CFG, seed=4)
-        for _ in range(3):
-            mean_ious(model, [client])
-            assert len(model._leaves) == 0
-        # training forwards still record their leaves afterwards
-        model.forward(client.dataset.test[0].views, rig)
-        assert len(model._leaves) > 0
+        state = dict(vars(model))
+        grads = model.params.grads.copy()
+        first = mean_ious(model, [client])
+        for _ in range(2):
+            assert mean_ious(model, [client]) == first
+            assert vars(model) == state
+        # evaluation writes no gradient
+        np.testing.assert_array_equal(model.params.grads, grads)
 
     def test_no_points_is_nan(self):
         client = make_client(self.rig("car"), [], mask=np.ones((8, 8)))

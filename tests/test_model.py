@@ -5,9 +5,9 @@ import pytest
 
 from camfed import autodiff as ad
 from camfed.model import (ModelConfig, PartitionPolicy, SEGMENT_NAMES, ToyBevt,
-                          build_layout, camera_ray_directions, init_params,
-                          load_checkpoint, pose_rotation, ray_features,
-                          save_checkpoint, split_params)
+                          _rig_geometry, build_layout, camera_ray_directions,
+                          init_params, load_checkpoint, pose_rotation,
+                          ray_features, save_checkpoint, split_params)
 from camfed.world import CameraPose, CameraRig, rig_from_preset, render_views, sample_scene
 
 SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
@@ -28,6 +28,18 @@ def small_sample(seed=0, n_cams=2):
                         SMALL.n_view_channels))
     target = (rng.random(SMALL.bev_grid) < 0.3).astype(float)
     return rig, views, target
+
+
+def train_step(model, views_list, rig, targets, mask):
+    """One batch's loss; its gradient is left in model.params.grads."""
+    logits, acts = model.forward_batch(views_list, rig)
+    model.backward(acts, ad.bce_with_logits_backward(logits, targets, mask))
+    return ad.bce_with_logits(logits, targets, mask)
+
+
+def loss_of(model, views_list, rig, targets, mask):
+    return ad.bce_with_logits(model.forward_batch(views_list, rig)[0],
+                              targets, mask)
 
 
 class TestInit:
@@ -157,10 +169,10 @@ class TestForward:
         model = ToyBevt(SMALL, seed=0)
         rig = small_rig()
         views = [small_sample(seed=s)[1] for s in range(3)]
-        logits = model.forward_batch(views, rig)
+        logits, _ = model.forward_batch(views, rig)
         assert logits.shape == (3, *SMALL.bev_grid)
-        for row, v in zip(logits.data, views):
-            np.testing.assert_array_equal(row, model.forward(v, rig).data)
+        for row, v in zip(logits, views):
+            np.testing.assert_array_equal(row, model.forward(v, rig))
 
     def test_too_many_cameras(self):
         cfg = ModelConfig(feat_dim=8, bev_grid=(8, 8), max_cameras=1,
@@ -186,7 +198,7 @@ class TestForward:
         rig = small_rig()
         views = np.zeros((2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
                           SMALL.n_view_channels))
-        logits = model.forward(views, rig).data
+        logits = model.forward(views, rig)
         assert np.allclose(logits, logits.flat[0], atol=1e-12)
 
     def test_masked_query_cell_gets_zero_grad(self):
@@ -194,10 +206,7 @@ class TestForward:
         model = ToyBevt(SMALL, seed=2)
         mask = np.ones(SMALL.bev_grid)
         mask[0, :] = 0.0
-        model.zero_grads()
-        logits = model.forward(views, rig)
-        loss = model.loss(logits, target, mask)
-        model.backward(loss)
+        train_step(model, [views], rig, target[None], mask)
         qgrad = model.params.grad_view("bev_query").reshape(
             SMALL.n_query_cells, SMALL.feat_dim)
         masked_rows = np.nonzero(mask.ravel() == 0.0)[0]
@@ -206,13 +215,10 @@ class TestForward:
         assert np.any(qgrad[active_rows] != 0.0)
 
     def _query_grad(self, model, views_list, rig, targets, mask):
-        model.zero_grads()
-        logits = model.forward_batch(views_list, rig)
-        loss = model.loss(logits, targets, mask)
-        model.backward(loss)
+        loss = train_step(model, views_list, rig, targets, mask)
         qgrad = model.params.grad_view("bev_query").reshape(
             SMALL.n_query_cells, SMALL.feat_dim)
-        return loss.item(), model.params.grads.copy(), qgrad.copy()
+        return loss, model.params.grads.copy(), qgrad.copy()
 
     def test_all_ones_mask_gives_every_query_row_grad(self):
         rig, views, target = small_sample(seed=8)
@@ -260,7 +266,7 @@ class TestForward:
         model = ToyBevt(SMALL, seed=17)
         mask = np.zeros(SMALL.bev_grid)
         with pytest.raises(ad.EmptySupportError):
-            model.loss(model.forward(views, rig), target, mask)
+            ad.bce_with_logits(model.forward(views, rig), target, mask)
 
     def test_full_gradient_check(self):
         # analytic gradient of the masked loss w.r.t. every parameter vs
@@ -270,9 +276,7 @@ class TestForward:
         mask[0, 0] = 0.0
         model = ToyBevt(SMALL, seed=4)
         store = model.params
-        model.zero_grads()
-        loss = model.loss(model.forward(views, rig), target, mask)
-        model.backward(loss)
+        train_step(model, [views], rig, target[None], mask)
         analytic = store.grads.copy()
 
         step = 1e-5
@@ -282,9 +286,9 @@ class TestForward:
         for i in probe:
             saved = store.values[i]
             store.values[i] = saved + step
-            up = model.loss(model.forward(views, rig), target, mask).item()
+            up = loss_of(model, [views], rig, target[None], mask)
             store.values[i] = saved - step
-            dn = model.loss(model.forward(views, rig), target, mask).item()
+            dn = loss_of(model, [views], rig, target[None], mask)
             store.values[i] = saved
             numeric = (up - dn) / (2 * step)
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)
@@ -299,15 +303,92 @@ class TestForward:
         store = model.params
         pub, priv = split_params(store, PartitionPolicy.from_scheme("fedcap"))
         before = store.values.copy()
-        model.zero_grads()
-        loss = model.loss(model.forward(views, rig), target, mask)
-        model.backward(loss)
+        train_step(model, [views], rig, target[None], mask)
         lr = np.zeros(store.n)
         lr[priv] = 0.1
         sgd_step(store, lr=lr)   # frozen public slice
         changed = np.nonzero(store.values != before)[0]
         assert changed.size > 0
         assert np.all(np.isin(changed, store.indices(["pos_embed"])))
+
+
+class TestBackward:
+    @pytest.mark.parametrize("segment", SEGMENT_NAMES)
+    def test_segment_gradient_matches_finite_differences(self, segment):
+        # a batch of three, so the broadcast positional and query rows
+        # sum their gradient over the batch
+        rig = small_rig(3)
+        rng = np.random.default_rng(SEGMENT_NAMES.index(segment))
+        views = [rng.random((3, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
+                             SMALL.n_view_channels)) for _ in range(3)]
+        targets = (rng.random((3, *SMALL.bev_grid)) < 0.3).astype(float)
+        mask = (rng.random(SMALL.bev_grid) < 0.8).astype(float)
+        model = ToyBevt(SMALL, seed=30)
+        store = model.params
+        train_step(model, views, rig, targets, mask)
+        analytic = store.grads.copy()
+        sl = store.slice_of(segment)
+        probe = rng.choice(np.arange(sl.start, sl.stop),
+                           size=min(40, sl.stop - sl.start), replace=False)
+        step, worst = 1e-5, 0.0
+        for i in probe:
+            saved = store.values[i]
+            store.values[i] = saved + step
+            up = loss_of(model, views, rig, targets, mask)
+            store.values[i] = saved - step
+            dn = loss_of(model, views, rig, targets, mask)
+            store.values[i] = saved
+            numeric = (up - dn) / (2 * step)
+            denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic[i] - numeric) / denom)
+        assert np.any(analytic[sl] != 0.0)
+        assert worst <= 1e-4, f"{segment} gradient rel err {worst:.3g}"
+
+    def test_overwrites_grads_and_writes_no_negative_zero(self):
+        rig, views, target = small_sample(seed=31)
+        mask = np.ones(SMALL.bev_grid)
+        mask[:2] = 0.0
+        model = ToyBevt(SMALL, seed=32)
+        train_step(model, [views], rig, target[None], mask)
+        clean = model.params.grads.copy()
+        model.params.grads[:] = -0.0
+        model.params.grads[::3] = np.nan
+        train_step(model, [views], rig, target[None], mask)
+        np.testing.assert_array_equal(model.params.grads.view(np.int64),
+                                      clean.view(np.int64))
+        zeros = clean == 0.0
+        assert zeros.any() and not np.signbit(clean[zeros]).any()
+
+    def test_train_logits_equal_eval_logits(self):
+        rig = small_rig(2)
+        views = [small_sample(seed=s)[1] for s in range(4)]
+        model = ToyBevt(SMALL, seed=33)
+        logits, acts = model.forward_batch(views, rig)
+        assert acts.batch == 4
+        assert acts.tok.shape[0] == 4 * acts.pos_in.shape[0]
+        for v, row in zip(views, logits):
+            np.testing.assert_array_equal(model.forward(v, rig), row)
+
+    def test_plan_is_built_once_per_config_and_read_only(self):
+        a, b = ToyBevt(SMALL, seed=0), ToyBevt(SMALL, seed=1)
+        assert a._offsets is b._offsets
+        assert a._cell_features is b._cell_features
+        assert not a._cell_features.flags.writeable
+        other = ToyBevt(ModelConfig(feat_dim=8, bev_grid=(8, 8),
+                                    n_azimuth_bins=12, n_elevation_bins=2),
+                        seed=0)
+        assert other._offsets is not a._offsets
+        with pytest.raises(ValueError, match="layout"):
+            ToyBevt(SMALL, init_params(other.config, seed=0))
+
+    def test_rig_geometry_is_shared_by_key_and_read_only(self):
+        rays, active = _rig_geometry(small_rig(2), SMALL.n_azimuth_bins)
+        again = _rig_geometry(small_rig(2), SMALL.n_azimuth_bins)
+        assert again[0] is rays and again[1] is active
+        assert not rays.flags.writeable and not active.flags.writeable
+        assert rays.shape == (int(active.sum()), 3)
+        full, _ = _rig_geometry(small_rig(2), 24)
+        assert full is not rays
 
 
 class TestCheckpoint:

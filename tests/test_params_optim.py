@@ -147,3 +147,26 @@ class TestAdamW:
             part.grads[:] = g[idx]
             AdamW(idx.size).step(part, lr=rate)
             np.testing.assert_array_equal(whole.values[idx], part.values)
+
+    def test_in_place_step_equals_the_formula_bit_for_bit(self):
+        # several steps at a per-index rate, against the out-of-place update
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, ...
+        rng = np.random.default_rng(2)
+        n, b1, b2, eps, wd = 50, 0.9, 0.999, 1e-8, 0.01
+        s = ParamStore([("a", n)], values=rng.standard_normal(n))
+        lr = rng.uniform(0.0, 0.1, n)
+        opt = AdamW(n)
+        m, v, values = np.zeros(n), np.zeros(n), s.values.copy()
+        for t in range(1, 6):
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3)
+            g[:3] = (0.0, -0.0, 5e-324)
+            s.grads[:] = g
+            opt.step(s, lr=lr)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
+                                               + eps)
+            values -= lr * (update + wd * values)
+            for got, want in ((opt.m, m), (opt.v, v), (s.values, values)):
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              want.view(np.int64))
