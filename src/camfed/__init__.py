@@ -51,8 +51,8 @@ _heap_kept_mapped = _keep_heap_mapped()
 
 __version__ = "0.1.0"
 
-from .model import ModelConfig, PartitionPolicy, ToyBevt
+from .model import ModelConfig, ToyBevt
 from .world import CameraPose, CameraRig, rig_from_preset
 
-__all__ = ["ModelConfig", "PartitionPolicy", "ToyBevt", "CameraPose",
-           "CameraRig", "rig_from_preset", "__version__"]
+__all__ = ["ModelConfig", "ToyBevt", "CameraPose", "CameraRig",
+           "rig_from_preset", "__version__"]

@@ -78,10 +78,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
-    store, _, extras, meta = load_checkpoint(args.checkpoint)
+    store, model_config, extras, meta = load_checkpoint(args.checkpoint)
     if "config" not in meta:
         raise ValueError("checkpoint meta has no run config")
     config = ExperimentConfig.from_dict(meta["config"])
+    if config.model != model_config:
+        raise ValueError("checkpoint model config differs from its run config")
     engine = build_engine(config)
     engine.store.values[:] = store.values
     for c in engine.clients:

@@ -22,8 +22,8 @@ import numpy as np
 from .federation import ClientState, FederationEngine
 from .metrics import (CrossEvalMatrix, EvalReport, cross_evaluate,
                       rounds_to_target)
-from .model import (ModelConfig, PartitionPolicy, check_field_types,
-                    check_keys, save_checkpoint)
+from .model import (ModelConfig, check_field_types, check_keys,
+                    private_segments, save_checkpoint)
 from .seeding import derive_seed
 from .world import N_VIEW_CHANNELS, build_client_dataset, rig_from_preset
 
@@ -98,7 +98,7 @@ class ExperimentConfig:
                 raise ValueError(f"client {idx}: local_epochs must be >= 1")
             if spec.n_points < 2:
                 raise ValueError(f"client {idx}: n_points must be >= 2")
-        PartitionPolicy.from_scheme(self.scheme)
+        private_segments(self.scheme)
         if self.optimizer not in ("adamw", "sgd"):
             raise ValueError(f"optimizer must be 'adamw' or 'sgd', "
                              f"got {self.optimizer!r}")
@@ -237,22 +237,19 @@ def build_engine(config: ExperimentConfig) -> FederationEngine:
     return FederationEngine(config, clients)
 
 
-def write_rounds_csv(records, ledger, path) -> None:
-    # cumulative totals per round, in round order
-    cum = {}
-    running = 0
-    for r, _, up, down in ledger.entries:
-        running += up + down
-        cum[r] = running
-    last = 0
+def write_rounds_csv(records, path) -> None:
+    """Write `records` (in round order) as rows of the CSV schema above."""
+    cum, running = {}, 0        # round -> up+down total at the round's end
+    for rec in records:
+        running += rec.bits_up + rec.bits_down
+        cum[rec.round] = running
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for rec in records:
-            last = cum.get(rec.round, last)
             row = [str(rec.round), str(rec.client_id),
                    str(int(rec.selected)), str(int(rec.straggler)),
                    repr(rec.train_loss), repr(rec.val_iou),
-                   str(rec.bits_up), str(rec.bits_down), str(last)]
+                   str(rec.bits_up), str(rec.bits_down), str(cum[rec.round])]
             fh.write(",".join(row) + "\n")
 
 
@@ -314,8 +311,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
         engine.run(workers=workers, on_round=checkpoint_hook)
     finally:
         # partial CSV is still written if a round raised mid-run
-        write_rounds_csv(engine.records, engine.ledger,
-                         os.path.join(out_dir, "rounds.csv"))
+        write_rounds_csv(engine.records, os.path.join(out_dir, "rounds.csv"))
     report = summarize(engine)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

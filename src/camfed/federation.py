@@ -3,10 +3,10 @@ aggregation, client selection, top-k compression and straggler handling.
 
 One round = broadcast the shared slice -> selected clients train locally
 (one optimizer step per batch: lr_u on the public slice, lr_v on the private
-slice) and return a `ClientUpdate` -> upload compressed deltas -> drop
-stragglers -> weighted aggregation of survivors. A client's private slice
-never leaves the client: deltas carry flat public indices only, which makes
-that auditable.
+slice) and return a `ClientUpdate` carrying a compressed delta -> upload
+-> drop stragglers -> weighted aggregation of survivors. A client's private
+slice never leaves the client: deltas carry flat public indices only, which
+makes that auditable.
 
 Everything is a pure function of (configuration, master seed): every random
 draw comes from a stream keyed by round and purpose, so client-level
@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import bce_with_logits, bce_with_logits_backward
 from .masking import amcm_mask
 from .metrics import mean_ious
-from .model import PartitionPolicy, ToyBevt, init_params, split_params
+from .model import ToyBevt, init_params, split_params
 from .netsim import CommLedger, StragglerPlan
 from .optim import AdamW, NonFiniteGradientError, sgd_step
 from .params import ParamStore
@@ -172,8 +172,7 @@ class FederationEngine:
         self.clients = clients
         mc = config.model
         self.store = init_params(mc, derive_seed(config.seed, "init"))
-        self.public_idx, self.private_idx = split_params(
-            self.store, PartitionPolicy.from_scheme(config.scheme))
+        self.public_idx, self.private_idx = split_params(mc, config.scheme)
         self.round = 0
         self.ledger = CommLedger()
         self.records: list = []
@@ -209,8 +208,10 @@ class FederationEngine:
         public values with the client's private slice). Each batch's single
         backward pass feeds one optimizer step at a per-index rate: lr_u on
         the public slice, lr_v on the private slice. The optimizer state
-        starts fresh every round. Writes nothing to the client or the
-        engine, so clients can train in any order or in parallel.
+        starts fresh every round. The public delta comes back top-k
+        compressed, so the dense copy is freed when the step returns.
+        Writes nothing to the client or the engine, so clients can train
+        in any order or in parallel.
         """
         local = self.personal_store(client)
         model = ToyBevt(self.config.model, local)
@@ -235,7 +236,8 @@ class FederationEngine:
                 step(local, lr)
         diff = local.values[self.public_idx] - self.store.values[self.public_idx]
         return ClientUpdate(
-            delta=dense_delta(self.public_idx, diff),
+            delta=compress_topk(dense_delta(self.public_idx, diff),
+                                self.config.topk_retention),
             private_values=local.values[self.private_idx].copy(),
             loss=float(np.mean(losses)), grad_norm=float(np.mean(grad_norms)))
 
@@ -297,11 +299,9 @@ class FederationEngine:
             self.clients[cid].private_values = updates[cid].private_values
         survivors = StragglerPlan(cfg.straggler_ratio,
                                   cfg.seed).survivors(uploaders, t)
-        deltas = {cid: compress_topk(updates[cid].delta, cfg.topk_retention)
-                  for cid in uploaders}
 
         # each survivor's weight is its dataset size
-        entries = [(cid, deltas[cid],
+        entries = [(cid, updates[cid].delta,
                     float(len(self.clients[cid].dataset.points)))
                    for cid in survivors]
         if entries:
@@ -315,7 +315,7 @@ class FederationEngine:
         for c in self.clients:
             cid = c.client_id
             sel, u = cid in updates, updates.get(cid)
-            bits_up = deltas[cid].bits_upload if cid in survivors else 0
+            bits_up = u.delta.bits_upload if cid in survivors else 0
             bits_down = bits_down_each if sel else 0
             if sel:
                 self.ledger.account(t, cid, bits_up, bits_down)

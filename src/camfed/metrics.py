@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import EmptySupportError, _sigmoid
-from .model import ToyBevt, rig_key
+from .model import ToyBevt
 
 
 def iou(pred_logits: np.ndarray, gt: np.ndarray, mask: np.ndarray,
@@ -39,7 +39,7 @@ def mean_ious(model: ToyBevt, clients: list) -> list:
     """Mean IoU of `model` on each client's test split, in input order.
 
     A client is anything with `rig`, `mask` and `dataset.test`; one without
-    test points gets nan. Clients with equal rig geometry and mask form one
+    test points gets nan. Clients with equal rigs and masks form one
     group, whose test points run through forward_batch EVAL_CHUNK at a time
     whichever client they belong to: a point's logits do not depend on its
     batch-mates, and the bound keeps each forward's arrays small. Each
@@ -47,7 +47,7 @@ def mean_ious(model: ToyBevt, clients: list) -> list:
     """
     groups = {}
     for k, c in enumerate(clients):
-        key = (rig_key(c.rig), c.mask.shape, c.mask.tobytes())
+        key = (c.rig, c.mask.shape, c.mask.tobytes())
         groups.setdefault(key, []).append(k)
     scores = [[] for _ in clients]
     for members in groups.values():

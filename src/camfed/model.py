@@ -139,18 +139,13 @@ class ModelConfig:
                                         else grid)})
 
 
-@dataclass(frozen=True)
-class PartitionPolicy:
-    scheme: str
-    private_segments: frozenset
-
-    @classmethod
-    def from_scheme(cls, scheme: str) -> "PartitionPolicy":
-        key = scheme.lower()
-        if key not in SCHEME_PRIVATE_SEGMENTS:
-            raise ValueError(f"unknown scheme {scheme!r}; "
-                             f"expected one of {sorted(SCHEME_PRIVATE_SEGMENTS)}")
-        return cls(scheme=key, private_segments=SCHEME_PRIVATE_SEGMENTS[key])
+def private_segments(scheme: str) -> frozenset:
+    """The segments that `scheme` (in any letter case) keeps on the client."""
+    key = scheme.lower()
+    if key not in SCHEME_PRIVATE_SEGMENTS:
+        raise ValueError(f"unknown scheme {scheme!r}; "
+                         f"expected one of {sorted(SCHEME_PRIVATE_SEGMENTS)}")
+    return SCHEME_PRIVATE_SEGMENTS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +168,6 @@ def camera_ray_directions(n_bins: int) -> np.ndarray:
     """Unit ray directions per azimuth bin in the camera's own frame, (A, 3)."""
     phis = np.radians(azimuth_bin_angles(n_bins))
     return np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=1)
-
-
-def rig_key(rig: CameraRig) -> tuple:
-    """The camera geometry a forward pass reads from `rig`, as a dict key.
-
-    Two rigs with equal keys give every data point the same logits.
-    """
-    return tuple((c.height, c.roll, c.pitch, c.yaw, c.fov_azimuth,
-                  c.n_azimuth_bins) for c in rig.cameras)
 
 
 N_POS_FEATURES = 3
@@ -250,81 +236,82 @@ def build_layout(config: ModelConfig) -> dict:
     }
 
 
-def init_params(config: ModelConfig, seed: int) -> ParamStore:
-    """Deterministic init: Xavier-uniform weights, zero biases, query in +-0.1."""
+class Plan(NamedTuple):
+    """The parameter layout of one ModelConfig, as `_plan` returns it."""
+    arrays: MappingProxyType    # key -> (flat slice, shape), in layout order
+    segments: MappingProxyType  # segment name -> flat slice, SEGMENT_NAMES order
+    cells: np.ndarray           # query-cell features, read-only
+    n: int                      # parameter count
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(config: ModelConfig) -> Plan:
+    """The one walk of `build_layout`: what every model, store, partition
+    and checkpoint of `config` shares, built once per config and read-only.
+
+    Segments are contiguous, in SEGMENT_NAMES order, from flat index 0.
+    """
     layout = build_layout(config)
-    seg_sizes = [(name, sum(int(np.prod(shape)) for _, shape in layout[name]))
-                 for name in SEGMENT_NAMES]
-    store = ParamStore(seg_sizes)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 77]))
+    arrays, segments, offset = {}, {}, 0
     for name in SEGMENT_NAMES:
-        offset = store.slice_of(name).start
+        start = offset
         for key, shape in layout[name]:
             size = int(np.prod(shape))
-            sl = slice(offset, offset + size)
-            if key == "bev_query.q":
-                store.values[sl] = rng.uniform(-0.1, 0.1, size)
-            elif len(shape) == 2:
-                bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-                store.values[sl] = rng.uniform(-bound, bound, size)
-            else:
-                store.values[sl] = 0.0
+            arrays[key] = (slice(offset, offset + size), shape)
             offset += size
+        segments[name] = slice(start, offset)
+    cells = cell_features(config)
+    cells.setflags(write=False)
+    return Plan(MappingProxyType(arrays), MappingProxyType(segments), cells,
+                offset)
+
+
+def init_params(config: ModelConfig, seed: int) -> ParamStore:
+    """Deterministic init: Xavier-uniform weights, zero biases, query in +-0.1."""
+    plan = _plan(config)
+    store = ParamStore(plan.n)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 77]))
+    for key, (sl, shape) in plan.arrays.items():
+        size = sl.stop - sl.start
+        if key == "bev_query.q":
+            store.values[sl] = rng.uniform(-0.1, 0.1, size)
+        elif len(shape) == 2:
+            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+            store.values[sl] = rng.uniform(-bound, bound, size)
+        else:
+            store.values[sl] = 0.0
     return store
 
 
-def split_params(store: ParamStore, policy: PartitionPolicy):
-    """Disjoint (public, private) flat-index views covering every parameter."""
-    private = store.indices(policy.private_segments)
-    public = store.indices([s.name for s in store.segments
-                            if s.name not in policy.private_segments])
-    return np.sort(public), np.sort(private)
+def split_params(config: ModelConfig, scheme: str):
+    """Sorted (public, private) flat indices of `config`'s parameters under
+    `scheme`: disjoint, and together covering every parameter."""
+    plan = _plan(config)
+    private = np.zeros(plan.n, dtype=bool)
+    for name in private_segments(scheme):
+        private[plan.segments[name]] = True
+    return np.flatnonzero(~private), np.flatnonzero(private)
 
 
 # ---------------------------------------------------------------------------
 # The model
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _plan(config: ModelConfig):
-    """What every model of `config` shares, built once per config and
-    read-only: {key: (flat slice, shape)} of each parameter array, the
-    (name, length) of each segment, and the query-cell features."""
-    layout = build_layout(config)
-    offsets, seg_sizes, offset = {}, [], 0
-    for name in SEGMENT_NAMES:
-        start = offset
-        for key, shape in layout[name]:
-            size = int(np.prod(shape))
-            offsets[key] = (slice(offset, offset + size), shape)
-            offset += size
-        seg_sizes.append((name, offset - start))
-    cells = cell_features(config)
-    cells.setflags(write=False)
-    return MappingProxyType(offsets), tuple(seg_sizes), cells
-
-
-_RIG_GEOMETRY = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _rig_geometry(rig: CameraRig, n_bins: int):
     """(ray features of the active bins, active-bin mask) for a rig.
 
     Only bins inside a camera's field of view become attention tokens; the
     remaining bins never carry content and a real camera would not produce
-    them at all. Computed once per (`rig_key`, n_bins) and shared,
-    read-only, by every model and thread.
+    them at all. A pure function of the frozen rig, so it is cached and
+    shared, read-only, by every model and thread.
     """
-    key = (rig_key(rig), n_bins)
-    geometry = _RIG_GEOMETRY.get(key)
-    if geometry is None:
-        active = np.concatenate([in_fov_bins(c, n_bins) for c in rig.cameras])
-        if not active.any():
-            raise ValueError("no azimuth bin falls inside any camera FoV")
-        geometry = (ray_features(rig, n_bins)[active], active)
-        for a in geometry:
-            a.setflags(write=False)
-        _RIG_GEOMETRY[key] = geometry
+    active = np.concatenate([in_fov_bins(c, n_bins) for c in rig.cameras])
+    if not active.any():
+        raise ValueError("no azimuth bin falls inside any camera FoV")
+    geometry = (ray_features(rig, n_bins)[active], active)
+    for a in geometry:
+        a.setflags(write=False)
     return geometry
 
 
@@ -360,11 +347,13 @@ class ToyBevt:
     def __init__(self, config: ModelConfig, params: ParamStore | None = None,
                  seed: int | None = None):
         self.config = config
-        self._offsets, seg_sizes, self._cell_features = _plan(config)
+        plan = _plan(config)
+        self._offsets, self._cell_features = plan.arrays, plan.cells
         if params is None:
             params = init_params(config, 0 if seed is None else seed)
-        if seg_sizes != tuple((s.name, s.length) for s in params.segments):
-            raise ValueError("ParamStore layout does not match model config")
+        if params.n != plan.n:
+            raise ValueError(f"ParamStore has {params.n} values, the model "
+                             f"config's layout {plan.n}")
         self.params = params
         self._shaped = {}
 
@@ -511,16 +500,29 @@ class ToyBevt:
 _CKPT_FORMAT = "camfed-checkpoint-v1"
 
 
+def _segment_table(plan: Plan) -> list:
+    """The checkpoint header's [name, offset, length] row of each segment."""
+    return [[name, sl.start, sl.stop - sl.start]
+            for name, sl in plan.segments.items()]
+
+
 def save_checkpoint(path, store: ParamStore, config: ModelConfig,
                     extra_arrays: dict | None = None,
                     meta: dict | None = None) -> None:
-    """Write the store plus named extra vectors in a self-describing file."""
+    """Write the store plus named extra vectors in a self-describing file.
+
+    The store must have `config`'s parameter count.
+    """
+    plan = _plan(config)
+    if store.n != plan.n:
+        raise ValueError(f"store has {store.n} values, the model config's "
+                         f"layout {plan.n}")
     arrays = [("values", np.asarray(store.values, dtype=np.float64))]
     for name in sorted(extra_arrays or {}):
         arrays.append((name, np.asarray(extra_arrays[name], dtype=np.float64)))
     header = {
         "format": _CKPT_FORMAT,
-        "segments": store.segment_table(),
+        "segments": _segment_table(plan),
         "config": config.to_dict(),
         "meta": meta or {},
         "arrays": [{"name": n, "length": int(a.size)} for n, a in arrays],
@@ -540,12 +542,6 @@ def _check_header(header: dict) -> None:
     if not (isinstance(header["meta"], dict)
             and isinstance(header["arrays"], list)):
         raise ValueError("checkpoint meta must be an object and arrays a list")
-    segments = header["segments"]
-    if not (isinstance(segments, list) and all(
-            isinstance(s, list) and len(s) == 3 and isinstance(s[0], str)
-            and all(_has_type(n, int) for n in s[1:]) for s in segments)):
-        raise ValueError("checkpoint segments must be [name, offset, length] "
-                         "triples")
     for spec in header["arrays"]:
         if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
                 and _has_type(spec.get("length"), int)
@@ -557,10 +553,11 @@ def _check_header(header: dict) -> None:
 def load_checkpoint(path):
     """Read a checkpoint; returns (ParamStore, ModelConfig, extras, meta).
 
-    A header that is not an object with `segments` ([name, offset, length]
-    triples), `config`, `meta` (an object) and `arrays` (each named, with a
-    non-negative int length), a file cut short, or one carrying bytes past
-    its last array is a ValueError.
+    A header that is not an object with `segments` (the [name, offset,
+    length] rows of its `config`'s layout), `config`, `meta` (an object)
+    and `arrays` (each named, with a non-negative int length), a `values`
+    array of another length than the config's parameter count, a file cut
+    short, or one carrying bytes past its last array is a ValueError.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(8)
@@ -580,6 +577,11 @@ def load_checkpoint(path):
         if fh.read(1):
             raise ValueError("checkpoint has trailing bytes")
     config = ModelConfig.from_dict(header["config"])
-    seg_sizes = [(name, length) for name, _, length in header["segments"]]
-    store = ParamStore(seg_sizes, values=arrays.pop("values"))
+    plan = _plan(config)
+    if header["segments"] != _segment_table(plan):
+        raise ValueError("checkpoint segments must be [name, offset, length] "
+                         "rows matching the layout of its model config")
+    if "values" not in arrays:
+        raise ValueError("checkpoint has no values array")
+    store = ParamStore(plan.n, values=arrays.pop("values"))
     return store, config, arrays, header["meta"]

@@ -40,18 +40,21 @@ class StragglerPlan:
 
 
 class CommLedger:
-    """Exact integer accounting of per-round, per-client traffic."""
+    """Exact integer running totals of the traffic of a run.
+
+    Each round's per-client bits live in the engine's RoundRecords; the
+    ledger keeps the totals that the bit budget is checked against.
+    """
 
     def __init__(self):
-        self.entries = []          # (round, client_id, bits_up, bits_down)
         self.total_up = 0
         self.total_down = 0
 
     def account(self, round_no: int, client_id: int,
                 bits_up: int, bits_down: int) -> None:
+        """Add one client's traffic in round `round_no` to the totals."""
         if bits_up < 0 or bits_down < 0:
             raise ValueError("bit counts must be non-negative")
-        self.entries.append((round_no, client_id, int(bits_up), int(bits_down)))
         self.total_up += int(bits_up)
         self.total_down += int(bits_down)
 

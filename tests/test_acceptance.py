@@ -19,8 +19,8 @@ from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
 from camfed.federation import (aggregate, compress_topk, dense_delta,
                                lr_schedule)
 from camfed.masking import amcm_mask
-from camfed.metrics import convergence_diagnostic, iou
-from camfed.model import ModelConfig, ToyBevt, init_params
+from camfed.metrics import convergence_diagnostic
+from camfed.model import ModelConfig, ToyBevt, _plan, init_params
 from camfed.optim import AdamW
 from camfed.params import ParamStore
 from camfed.seeding import derive_rng, derive_seed
@@ -276,12 +276,11 @@ class TestCriterion3:
             seeds.append(seed)
             weights.append(10.0)
         store = init_params(cfg, derive_seed(master_seed, "init"))
-        seg_sizes = [(s.name, s.length) for s in store.segments]
         for t in range(1, rounds + 1):
             lr_t = lr_schedule(t, lr, warmup, rounds)
             local_values = []
             for ds, rig, mask, seed in zip(datasets, rigs, masks, seeds):
-                local = ParamStore(seg_sizes, values=store.values.copy())
+                local = ParamStore(store.n, values=store.values)
                 model = ToyBevt(cfg, local)
                 opt = AdamW(local.n)
                 rng = derive_rng(master_seed, "batch", t, seed)
@@ -393,7 +392,8 @@ class TestCriterion7:
         logits, acts = model.forward_batch([views], rig)
         model.backward(acts, ad.bce_with_logits_backward(logits, target[None],
                                                          mask))
-        qgrad = model.params.grad_view("bev_query").reshape(64, SMALL.feat_dim)
+        qgrad = model.params.grads[_plan(SMALL).segments["bev_query"]].reshape(
+            64, SMALL.feat_dim)
         off = mask.ravel() == 0.0
         grad_ok = bool(np.all(qgrad[off] == 0.0) and np.any(qgrad[~off] != 0.0))
         hygiene = float(np.linalg.norm(qgrad[off]))

@@ -1,6 +1,6 @@
+import dataclasses
 import json
 import logging
-import os
 import struct
 
 import numpy as np
@@ -594,17 +594,32 @@ class TestCli:
         header["arrays"][1]["length"] = -1
         return header
 
+    @staticmethod
+    def no_values(header):
+        header["arrays"][0]["name"] = "shared"
+        return header
+
+    @staticmethod
+    def other_run_model(header):
+        header["meta"]["config"]["model"]["world_extent"] = 8.0
+        return header
+
     @pytest.mark.parametrize("case, message", [
         ("list-header", "not a recognized checkpoint file"),
         ("no-arrays", "checkpoint header lacks ['arrays']"),
         ("negative-length", "a non-negative int length"),
         ("scalar-segments", "segments must be [name, offset, length]"),
         ("default-meta", "checkpoint meta has no run config"),
+        ("one-segment", "rows matching the layout of its model config"),
+        ("foreign-values", "rows matching the layout of its model config"),
+        ("other-run-model", "model config differs from its run config"),
+        ("no-values", "checkpoint has no values array"),
     ], ids=["list-header", "no-arrays", "negative-length", "scalar-segments",
-            "default-meta"])
+            "default-meta", "one-segment", "foreign-values",
+            "other-run-model", "no-values"])
     def test_cross_eval_rejects_malformed_checkpoint(self, case, message,
                                                     tmp_path, capsys):
-        from camfed.model import load_checkpoint, save_checkpoint
+        from camfed.model import init_params, load_checkpoint, save_checkpoint
         run = tmp_path / "run"
         run_experiment(tiny_config(rounds=1), run)
         blob = (run / "checkpoint.bin").read_bytes()
@@ -612,12 +627,27 @@ class TestCli:
         if case == "default-meta":
             store, config, extras, _ = load_checkpoint(run / "checkpoint.bin")
             save_checkpoint(bad, store, config, extra_arrays=extras)
+        elif case == "foreign-values":
+            # a smaller model's values and segment table, under the
+            # header config of the run's model
+            _, config, extras, meta = load_checkpoint(run / "checkpoint.bin")
+            other = dataclasses.replace(config, feat_dim=4)
+            save_checkpoint(bad, init_params(other, seed=0), other,
+                            extra_arrays=extras, meta=meta)
+            bad.write_bytes(self.with_header(
+                bad.read_bytes(), lambda h: h | {"config": config.to_dict()}))
         else:
             edit = {"list-header": lambda h: [h],
                     "no-arrays": lambda h: {k: v for k, v in h.items()
                                             if k != "arrays"},
                     "negative-length": self.negative_length,
-                    "scalar-segments": lambda h: h | {"segments": 5}}[case]
+                    "scalar-segments": lambda h: h | {"segments": 5},
+                    # one segment as long as the values array (the first)
+                    "one-segment": lambda h: h | {"segments": [
+                        ["whatever", 0, h["arrays"][0]["length"]]]},
+                    # same layout, another world extent
+                    "other-run-model": self.other_run_model,
+                    "no-values": self.no_values}[case]
             bad.write_bytes(self.with_header(blob, edit))
         capsys.readouterr()
         out = tmp_path / "xe"

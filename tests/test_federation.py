@@ -240,7 +240,7 @@ class TestLocalUpdate:
         private = client.private_values.copy()
         shared = eng.store.values.copy()
         store = eng.personal_store(client)
-        assert store.segments == eng.store.segments
+        assert store.n == eng.store.n
         np.testing.assert_array_equal(store.values[eng.public_idx],
                                       eng.store.values[eng.public_idx])
         np.testing.assert_array_equal(store.values[eng.private_idx], private)
@@ -269,8 +269,7 @@ class TestLocalUpdate:
         from camfed.model import ToyBevt
         from camfed.params import ParamStore
         from camfed.seeding import derive_rng
-        local = ParamStore([(s.name, s.length) for s in eng.store.segments],
-                           values=eng.store.values.copy())
+        local = ParamStore(eng.store.n, values=eng.store.values)
         model = ToyBevt(SMALL, local)
         rng = derive_rng(3, "batch", 1, client.seed)
         order = rng.permutation(len(client.dataset.train))
@@ -365,6 +364,32 @@ class TestRunRound:
                 expected = sent[r.client_id].bits_upload \
                     if r.client_id in sent else 0
                 assert r.bits_up == expected
+
+    def test_client_step_returns_the_compressed_delta_aggregate_gets(
+            self, monkeypatch):
+        eng = small_engine(scheme="fedavg", n_clients=3, rounds=1, seed=7,
+                           topk_retention=0.1)
+        k = math.ceil(0.1 * eng.public_idx.size)
+        returned, sent = {}, []
+        local_update = eng.local_update
+
+        def recording_local_update(client, *args):
+            update = local_update(client, *args)
+            returned[client.client_id] = update.delta
+            return update
+
+        def recording_aggregate(entries, base_values, public_idx):
+            sent.extend(entries)
+            return aggregate(entries, base_values, public_idx)
+
+        monkeypatch.setattr(eng, "local_update", recording_local_update)
+        monkeypatch.setattr(federation, "aggregate", recording_aggregate)
+        eng.run_round()
+        assert sorted(returned) == [0, 1, 2]
+        for delta in returned.values():
+            assert delta.indices.size == k and not delta.dense
+        assert len(sent) == 3
+        assert all(delta is returned[cid] for cid, delta, _ in sent)
 
     def test_server_private_slice_never_changes(self):
         eng = small_engine(scheme="fedcap", n_clients=2, rounds=3)

@@ -1,5 +1,6 @@
-"""Import-time properties of camfed: every name a module imports is used
-(a stdlib-`ast` check), and BLAS is pinned to one thread before numpy loads.
+"""Import-time properties of camfed: every name a module, test or demo
+imports is used (a stdlib-`ast` check), and BLAS is pinned to one thread
+before numpy loads.
 """
 
 import ast
@@ -10,7 +11,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "camfed"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "camfed"
+# the package's modules (by bare file name), the tests and the demos
+CHECKED = {**{p.name: p for p in SRC.glob("*.py")},
+           **{str(p.relative_to(ROOT)): p
+              for d in ("tests", "demos") for p in (ROOT / d).glob("*.py")}}
 
 
 def unused_imports(source: str) -> list:
@@ -43,9 +49,9 @@ def test_checker_flags_unused_and_passes_used_names():
     assert unused_imports(source) == ["field", "os"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(CHECKED))
 def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(CHECKED[module].read_text(encoding="utf-8")) == []
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

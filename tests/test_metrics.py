@@ -134,8 +134,7 @@ class TestMeanIou:
         model = self.mixed_model(clients[1].rig, clients[1].dataset.test)
         got = mean_ious(model, clients)
         ref = [reference_iou(ToyBevt(self.CFG, ParamStore(
-            [(s.name, s.length) for s in model.params.segments],
-            values=model.params.values.copy())), c) for c in clients]
+            model.params.n, values=model.params.values)), c) for c in clients]
         assert len(set(ref[:-1])) > 2
         np.testing.assert_array_equal(got, ref)
         assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()

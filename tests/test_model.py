@@ -1,18 +1,22 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from camfed import autodiff as ad
-from camfed.model import (ModelConfig, PartitionPolicy, SEGMENT_NAMES, ToyBevt,
-                          _rig_geometry, build_layout, camera_ray_directions,
-                          init_params, load_checkpoint, pose_rotation,
+from camfed.model import (SEGMENT_NAMES, ModelConfig, ToyBevt, _plan,
+                          _rig_geometry, camera_ray_directions, init_params,
+                          load_checkpoint, pose_rotation, private_segments,
                           ray_features, save_checkpoint, split_params)
-from camfed.world import CameraPose, CameraRig, rig_from_preset, render_views, sample_scene
+from camfed.params import ParamStore
+from camfed.world import CameraPose, CameraRig, rig_from_preset
 
 SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
                     decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2,
                     n_view_channels=4, max_cameras=4, world_extent=16.0)
+SEGMENTS = _plan(SMALL).segments    # segment name -> flat slice
 
 
 def small_rig(n_cams=2):
@@ -72,31 +76,31 @@ class TestInit:
 
     def test_query_range(self):
         store = init_params(SMALL, seed=2)
-        q = store.view("bev_query")
+        q = store.values[SEGMENTS["bev_query"]]
         assert np.all(np.abs(q) <= 0.1)
         assert q.std() > 0.01
 
 
 class TestPartition:
     def test_segment_names(self):
-        store = init_params(SMALL, seed=0)
-        assert tuple(s.name for s in store.segments) == SEGMENT_NAMES
+        assert tuple(SEGMENTS) == SEGMENT_NAMES
 
     def test_fedavg_empty_private(self):
         store = init_params(SMALL, seed=0)
-        pub, priv = split_params(store, PartitionPolicy.from_scheme("fedavg"))
+        pub, priv = split_params(SMALL, "fedavg")
         assert priv.size == 0
         assert pub.size == store.n
 
     def test_fedcap_private_is_pos_embed(self):
-        store = init_params(SMALL, seed=0)
-        pub, priv = split_params(store, PartitionPolicy.from_scheme("fedcap"))
-        np.testing.assert_array_equal(priv, store.indices(["pos_embed"]))
+        sl = SEGMENTS["pos_embed"]
+        for scheme in ("fedcap", "FedCaP"):
+            pub, priv = split_params(SMALL, scheme)
+            np.testing.assert_array_equal(priv, np.arange(sl.start, sl.stop))
 
     def test_partition_identity_all_schemes(self):
         store = init_params(SMALL, seed=0)
         for scheme in ("fedavg", "fedrep", "fedtp", "fedcap"):
-            pub, priv = split_params(store, PartitionPolicy.from_scheme(scheme))
+            pub, priv = split_params(SMALL, scheme)
             assert pub.size + priv.size == store.n
             assert np.intersect1d(pub, priv).size == 0
             merged = np.sort(np.concatenate([pub, priv]))
@@ -104,7 +108,7 @@ class TestPartition:
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            PartitionPolicy.from_scheme("fancy")
+            private_segments("fancy")
 
 
 class TestGeometry:
@@ -189,11 +193,12 @@ class TestForward:
         # every cell's logit identical (decoder biases are zero-initialized)
         model = ToyBevt(SMALL, seed=1)
         store = model.params
-        store.view("pos_embed")[:] = 0.0
+        store.values[SEGMENTS["pos_embed"]] = 0.0
         for key, (sl, _) in model._offsets.items():
             if key.endswith(".wc"):
                 store.values[sl] = 0.0
-        q = store.view("bev_query").reshape(SMALL.n_query_cells, SMALL.feat_dim)
+        q = store.values[SEGMENTS["bev_query"]].reshape(SMALL.n_query_cells,
+                                                       SMALL.feat_dim)
         q[:] = q[0]
         rig = small_rig()
         views = np.zeros((2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
@@ -207,7 +212,7 @@ class TestForward:
         mask = np.ones(SMALL.bev_grid)
         mask[0, :] = 0.0
         train_step(model, [views], rig, target[None], mask)
-        qgrad = model.params.grad_view("bev_query").reshape(
+        qgrad = model.params.grads[SEGMENTS["bev_query"]].reshape(
             SMALL.n_query_cells, SMALL.feat_dim)
         masked_rows = np.nonzero(mask.ravel() == 0.0)[0]
         active_rows = np.nonzero(mask.ravel() == 1.0)[0]
@@ -216,7 +221,7 @@ class TestForward:
 
     def _query_grad(self, model, views_list, rig, targets, mask):
         loss = train_step(model, views_list, rig, targets, mask)
-        qgrad = model.params.grad_view("bev_query").reshape(
+        qgrad = model.params.grads[SEGMENTS["bev_query"]].reshape(
             SMALL.n_query_cells, SMALL.feat_dim)
         return loss, model.params.grads.copy(), qgrad.copy()
 
@@ -301,7 +306,7 @@ class TestForward:
         mask = np.ones(SMALL.bev_grid)
         model = ToyBevt(SMALL, seed=7)
         store = model.params
-        pub, priv = split_params(store, PartitionPolicy.from_scheme("fedcap"))
+        pub, priv = split_params(SMALL, "fedcap")
         before = store.values.copy()
         train_step(model, [views], rig, target[None], mask)
         lr = np.zeros(store.n)
@@ -309,7 +314,8 @@ class TestForward:
         sgd_step(store, lr=lr)   # frozen public slice
         changed = np.nonzero(store.values != before)[0]
         assert changed.size > 0
-        assert np.all(np.isin(changed, store.indices(["pos_embed"])))
+        sl = SEGMENTS["pos_embed"]
+        assert np.all((changed >= sl.start) & (changed < sl.stop))
 
 
 class TestBackward:
@@ -327,7 +333,7 @@ class TestBackward:
         store = model.params
         train_step(model, views, rig, targets, mask)
         analytic = store.grads.copy()
-        sl = store.slice_of(segment)
+        sl = SEGMENTS[segment]
         probe = rng.choice(np.arange(sl.start, sl.stop),
                            size=min(40, sl.stop - sl.start), replace=False)
         step, worst = 1e-5, 0.0
@@ -402,14 +408,13 @@ class TestCheckpoint:
         assert cfg2 == SMALL
         assert meta2 == meta
         np.testing.assert_array_equal(store2.values, store.values)
-        assert store2.segment_table() == store.segment_table()
+        assert store2.n == store.n
         np.testing.assert_array_equal(extras2["private:0"], np.arange(4.0))
         np.testing.assert_array_equal(extras2["private:1"], np.ones(3))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         blob = b'{"format": "other"}'
-        import struct
         with open(path, "wb") as fh:
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
@@ -427,3 +432,47 @@ class TestCheckpoint:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        """Replace the checkpoint header at `path` by edit(header)."""
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
+        path.write_bytes(struct.pack("<Q", len(header)) + header
+                         + blob[8 + hlen:])
+
+    def test_segment_table_must_match_config(self, tmp_path):
+        # one segment of the right total length is not the config's layout
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(SMALL, seed=11), SMALL)
+        n = _plan(SMALL).n
+        self.rewrite_header(path, lambda h: h | {
+            "segments": [["whatever", 0, n]]})
+        with pytest.raises(ValueError, match="layout of its model config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("table", ["own", "config"])
+    def test_values_length_must_match_config(self, tmp_path, table):
+        # a smaller model's values under SMALL's config, with the smaller
+        # model's segment table (which fits the values) or SMALL's
+        other = ModelConfig(feat_dim=4, bev_grid=(8, 8), n_azimuth_bins=12,
+                            n_elevation_bins=2)
+        assert _plan(other).n != _plan(SMALL).n
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(other, seed=11), other)
+
+        def edit(header):
+            header["config"] = SMALL.to_dict()
+            if table == "config":
+                header["segments"] = [[name, sl.start, sl.stop - sl.start]
+                                      for name, sl in SEGMENTS.items()]
+            return header
+
+        self.rewrite_header(path, edit)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_save_rejects_a_store_of_another_size(self, tmp_path):
+        with pytest.raises(ValueError, match="layout"):
+            save_checkpoint(tmp_path / "model.ckpt", ParamStore(5), SMALL)

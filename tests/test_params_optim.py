@@ -1,44 +1,41 @@
 import numpy as np
 import pytest
 
+from camfed.model import SEGMENT_NAMES, ModelConfig, _plan, init_params
 from camfed.optim import AdamW, NonFiniteGradientError, sgd_step
 from camfed.params import ParamStore
 
 
 @pytest.fixture
 def store():
-    s = ParamStore([("a", 3), ("b", 2)])
+    s = ParamStore(5)
     s.values[:] = [1.0, 2.0, 3.0, 4.0, 5.0]
     return s
 
 
 class TestParamStore:
-    def test_segments_contiguous_and_cover(self, store):
-        assert store.segment_table() == [("a", 0, 3), ("b", 3, 2)]
-        assert store.n == 5
-        assert store.grads.shape == (5,)
-
-    def test_views_alias_values(self, store):
-        store.view("b")[0] = 99.0
-        assert store.values[3] == 99.0
-
-    def test_indices(self, store):
-        np.testing.assert_array_equal(store.indices(["b"]), [3, 4])
-        np.testing.assert_array_equal(store.indices(["a", "b"]), [0, 1, 2, 3, 4])
-        assert store.indices([]).size == 0
+    def test_plan_segments_are_contiguous_and_cover_the_store(self):
+        cfg = ModelConfig(feat_dim=8, bev_grid=(8, 8), encoder_hidden=8,
+                          decoder_hidden=8, n_azimuth_bins=12,
+                          n_elevation_bins=2)
+        segments = _plan(cfg).segments
+        assert tuple(segments) == SEGMENT_NAMES
+        stop = 0
+        for sl in segments.values():
+            assert sl.start == stop and sl.stop > sl.start
+            stop = sl.stop
+        store = init_params(cfg, seed=0)
+        assert stop == store.n == _plan(cfg).n
+        assert store.values.shape == store.grads.shape == (stop,)
 
     def test_clone_is_independent(self, store):
         c = store.clone()
         c.values[0] = -1.0
         assert store.values[0] == 1.0
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            ParamStore([("a", 2), ("a", 3)])
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ParamStore([("a", 2)], values=np.zeros(3))
+            ParamStore(2, values=np.zeros(3))
 
 
 class TestSgd:
@@ -49,7 +46,7 @@ class TestSgd:
         np.testing.assert_array_equal(store.values, before)
 
     def test_arithmetic(self):
-        s = ParamStore([("a", 2)])
+        s = ParamStore(2)
         s.values[:] = [1.0, 2.0]
         s.grads[:] = [1.0, 1.0]
         sgd_step(s, lr=0.5)
@@ -57,7 +54,7 @@ class TestSgd:
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(0)
-        s = ParamStore([("a", 64)])
+        s = ParamStore(64)
         s.values[:] = rng.standard_normal(64)
         s.grads[:] = rng.standard_normal(64)
         expected = s.values - 0.07 * s.grads
@@ -86,7 +83,7 @@ class TestAdamW:
     def test_single_step_oracle(self):
         # from zero moments: delta = -lr * g / (|g| + eps), bias correction
         # cancels exactly on the first step
-        s = ParamStore([("a", 3)])
+        s = ParamStore(3)
         s.values[:] = [1.0, 1.0, 1.0]
         g = np.array([0.5, -2.0, 3.0])
         s.grads[:] = g
@@ -97,7 +94,7 @@ class TestAdamW:
         np.testing.assert_allclose(s.values, expected, atol=1e-12, rtol=0)
 
     def test_decoupled_decay_shrinks(self):
-        s = ParamStore([("a", 4)])
+        s = ParamStore(4)
         s.values[:] = [1.0, -2.0, 3.0, -4.0]
         before = s.values.copy()
         opt = AdamW(s.n, lr=0.1, weight_decay=0.01)
@@ -111,7 +108,7 @@ class TestAdamW:
             AdamW(store.n).step(store)
 
     def test_two_step_bias_correction_oracle(self):
-        s = ParamStore([("a", 2)])
+        s = ParamStore(2)
         s.values[:] = [1.0, -1.0]
         g1, g2 = np.array([0.5, -2.0]), np.array([1.5, 0.25])
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -139,11 +136,11 @@ class TestAdamW:
         lr = np.empty(10)
         lr[idx_u], lr[idx_v] = 0.05, 0.02
 
-        whole = ParamStore([("a", 10)], values=vals)
+        whole = ParamStore(10, values=vals)
         whole.grads[:] = g
         AdamW(10).step(whole, lr=lr)
         for idx, rate in ((idx_u, 0.05), (idx_v, 0.02)):
-            part = ParamStore([("a", idx.size)], values=vals[idx])
+            part = ParamStore(idx.size, values=vals[idx])
             part.grads[:] = g[idx]
             AdamW(idx.size).step(part, lr=rate)
             np.testing.assert_array_equal(whole.values[idx], part.values)
@@ -153,7 +150,7 @@ class TestAdamW:
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, ...
         rng = np.random.default_rng(2)
         n, b1, b2, eps, wd = 50, 0.9, 0.999, 1e-8, 0.01
-        s = ParamStore([("a", n)], values=rng.standard_normal(n))
+        s = ParamStore(n, values=rng.standard_normal(n))
         lr = rng.uniform(0.0, 0.1, n)
         opt = AdamW(n)
         m, v, values = np.zeros(n), np.zeros(n), s.values.copy()
