@@ -17,9 +17,9 @@ import os
 import sys
 
 from .experiments import (DEFAULT_SCALE, PRESET_NAMES, SWEEPABLE,
-                          ExperimentConfig, build_engine, cross_eval_matrix,
-                          preset, run_experiment, scaled, sweep)
-from .model import load_checkpoint
+                          ExperimentConfig, cross_eval_matrix,
+                          load_checkpoint, preset, run_experiment, scaled,
+                          sweep)
 
 log = logging.getLogger("camfed")
 
@@ -78,19 +78,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
-    store, model_config, extras, meta = load_checkpoint(args.checkpoint)
-    if "config" not in meta:
-        raise ValueError("checkpoint meta has no run config")
-    config = ExperimentConfig.from_dict(meta["config"])
-    if config.model != model_config:
-        raise ValueError("checkpoint model config differs from its run config")
-    engine = build_engine(config)
-    engine.store.values[:] = store.values
-    for c in engine.clients:
-        key = f"private:{c.client_id}"
-        if key not in extras:
-            raise ValueError(f"checkpoint has no {key} array")
-        c.private_values = extras[key]
+    engine = load_checkpoint(args.checkpoint)
     os.makedirs(args.out, exist_ok=True)
     matrix = cross_eval_matrix(engine)
     path = os.path.join(args.out, "cross_eval.csv")

@@ -15,15 +15,15 @@ import dataclasses
 import json
 import math
 import os
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .federation import ClientState, FederationEngine
-from .metrics import (CrossEvalMatrix, EvalReport, cross_evaluate,
-                      rounds_to_target)
+from .metrics import CrossEvalMatrix, cross_evaluate, rounds_to_target
 from .model import (ModelConfig, check_field_types, check_keys,
-                    private_segments, save_checkpoint)
+                    private_segments, split_params)
 from .seeding import derive_seed
 from .world import N_VIEW_CHANNELS, build_client_dataset, rig_from_preset
 
@@ -254,23 +254,22 @@ def write_rounds_csv(records, path) -> None:
 
 
 def summarize(engine: FederationEngine) -> dict:
-    """Per-client EvalReports plus run-level telemetry, as a JSON-able dict."""
+    """Per-client summaries plus run-level telemetry, as a JSON-able dict."""
     config = engine.config
     per_client = []
     for c in engine.clients:
         recs = [r for r in engine.records if r.client_id == c.client_id]
         iou_series = [r.val_iou for r in recs]
         losses = [r.train_loss for r in recs if not np.isnan(r.train_loss)]
-        bits_up = sum(r.bits_up for r in recs)
-        bits_down = sum(r.bits_down for r in recs)
-        per_client.append(EvalReport(
-            client_id=c.client_id,
-            final_iou=iou_series[-1] if iou_series else float("nan"),
-            final_train_loss=losses[-1] if losses else float("nan"),
-            rounds_used=engine.round,
-            rounds_to_target_95=rounds_to_target(iou_series)
-            if iou_series else 0,
-            bits_up_total=bits_up, bits_down_total=bits_down))
+        per_client.append({
+            "client_id": c.client_id,
+            "final_iou": iou_series[-1] if iou_series else float("nan"),
+            "final_train_loss": losses[-1] if losses else float("nan"),
+            "rounds_used": engine.round,
+            "rounds_to_target_95": (rounds_to_target(iou_series)
+                                    if iou_series else 0),
+            "bits_up_total": sum(r.bits_up for r in recs),
+            "bits_down_total": sum(r.bits_down for r in recs)})
     return {
         "name": config.name,
         "scheme": config.scheme,
@@ -278,7 +277,7 @@ def summarize(engine: FederationEngine) -> dict:
         "rounds_completed": engine.round,
         "total_bits_up": engine.ledger.total_up,
         "total_bits_down": engine.ledger.total_down,
-        "clients": [dataclasses.asdict(r) for r in per_client],
+        "clients": per_client,
     }
 
 
@@ -304,7 +303,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
     def checkpoint_hook(eng):
         every = config.checkpoint_every
         if every and eng.round % every == 0 and eng.round < config.rounds:
-            _write_checkpoint(eng, os.path.join(
+            save_checkpoint(eng, os.path.join(
                 out_dir, f"checkpoint_round_{eng.round}.bin"))
 
     try:
@@ -318,17 +317,76 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
         fh.write("\n")
     if len(engine.clients) >= 2:
         cross_eval_matrix(engine).to_csv(os.path.join(out_dir, "cross_eval.csv"))
-    _write_checkpoint(engine, os.path.join(out_dir, "checkpoint.bin"))
+    save_checkpoint(engine, os.path.join(out_dir, "checkpoint.bin"))
     return engine, report
 
 
-def _write_checkpoint(engine: FederationEngine, path) -> None:
-    config = engine.config
-    extras = {f"private:{c.client_id}": c.private_values
-              for c in engine.clients}
-    save_checkpoint(path, engine.store, config.model, extra_arrays=extras,
-                    meta={"round": engine.round, "scheme": config.scheme,
-                          "config": config.to_dict()})
+CHECKPOINT_FORMAT = "camfed-checkpoint-v2"
+
+
+def save_checkpoint(engine: FederationEngine, path) -> None:
+    """Write `engine`'s run config, round and parameters to `path`.
+
+    The file is an 8-byte little-endian header length, the JSON header
+    {"format", "round", "config", "crc32"}, then the little-endian float64
+    payload: the shared values, then each client's private slice in
+    client-id order. `crc32` is zlib's CRC32 of the payload; every length
+    follows from the config.
+    """
+    payload = np.concatenate(
+        [engine.store.values] + [c.private_values for c in engine.clients]
+    ).astype("<f8").tobytes()
+    header = json.dumps({"format": CHECKPOINT_FORMAT, "round": engine.round,
+                         "config": engine.config.to_dict(),
+                         "crc32": zlib.crc32(payload)},
+                        sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(len(header).to_bytes(8, "little"))
+        fh.write(header)
+        fh.write(payload)
+
+
+def load_checkpoint(path) -> FederationEngine:
+    """The engine a `save_checkpoint` file holds: its config's datasets,
+    with the saved store, private slices and round.
+
+    The header must be a v2 object whose config passes
+    `ExperimentConfig.from_dict` and whose round is an int in 0..rounds;
+    the payload must have the length that config implies and match the
+    header's CRC32. Anything else is a ValueError, raised before any
+    dataset is built.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    start = 8 + int.from_bytes(blob[:8], "little")
+    try:
+        header = json.loads(blob[8:start])
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
+    config = ExperimentConfig.from_dict(header.get("config"))
+    round_no = header.get("round")
+    if type(round_no) is not int or not 0 <= round_no <= config.rounds:
+        raise ValueError(f"checkpoint round must be an int in "
+                         f"0..{config.rounds}, got {round_no!r}")
+    public_idx, private_idx = split_params(config.model, config.scheme)
+    n = public_idx.size + private_idx.size
+    payload = blob[start:]
+    expected = 8 * (n + len(config.clients) * private_idx.size)
+    if len(payload) != expected:
+        raise ValueError(f"checkpoint payload has {len(payload)} bytes, its "
+                         f"config implies {expected}")
+    if zlib.crc32(payload) != header.get("crc32"):
+        raise ValueError("checkpoint payload does not match its CRC32")
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    engine = build_engine(config)
+    engine.store.values[:] = values[:n]
+    for c, private in zip(engine.clients,
+                          np.split(values[n:], len(engine.clients))):
+        c.private_values = private.copy()
+    engine.round = round_no
+    return engine
 
 
 # each sweepable setting and the type of its values
@@ -341,7 +399,8 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir,
     """One run per axis value with derived seeds; merged summary CSV.
 
     Every value's config is checked before the first run starts, so a bad
-    later value costs no training and leaves no directory behind.
+    later value, or one equal to an earlier value, costs no training and
+    leaves no directory behind.
     """
     _check_workers(workers)
     if axis not in SWEEPABLE:
@@ -349,12 +408,17 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir,
     if not values:
         raise ValueError("sweep needs at least one value")
     whole = SWEEPABLE[axis] is int
-    configs = []
+    configs, seen = [], set()
     for i, value in enumerate(values):
         # a run labelled 1.9 must not quietly run with 1
         if whole and not float(value).is_integer():
             raise ValueError(f"{axis} takes whole numbers, got {value}")
         setting = int(value) if whole else float(value)
+        # two equal values would share one run directory
+        if setting in seen:
+            raise ValueError(f"{axis} takes each value once, got {setting} "
+                             f"twice")
+        seen.add(setting)
         cfg = ExperimentConfig.from_dict(config.to_dict())
         if axis == "local_epochs":
             for c in cfg.clients:

@@ -135,14 +135,3 @@ def rounds_to_target(iou_series, fraction: float = 0.95) -> int:
             return i + 1
     return int(y.size)
 
-
-@dataclass
-class EvalReport:
-    """Per-client end-of-run summary."""
-    client_id: int
-    final_iou: float
-    final_train_loss: float
-    rounds_used: int
-    rounds_to_target_95: int
-    bits_up_total: int
-    bits_down_total: int

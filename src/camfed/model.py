@@ -17,10 +17,8 @@ views is folded into the token channel dimension.
 """
 
 import functools
-import json
 import math
-import struct
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from types import MappingProxyType
 from typing import NamedTuple, get_args
 
@@ -125,12 +123,9 @@ class ModelConfig:
     def n_query_cells(self) -> int:
         return self.bev_grid[0] * self.bev_grid[1]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of to_dict; every field must be present, and no other."""
+        """Inverse of `asdict`; every field must be present, and no other."""
         if not isinstance(d, dict):
             raise ValueError(f"model must be an object, got {d!r}")
         check_keys(d, cls, "model", required=[f.name for f in fields(cls)])
@@ -492,96 +487,3 @@ class ToyBevt:
         # a -0.0 becomes +0.0, as if each gradient were added onto zeros
         self.params.grads += 0.0
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints: JSON header + little-endian float64 payload
-# ---------------------------------------------------------------------------
-
-_CKPT_FORMAT = "camfed-checkpoint-v1"
-
-
-def _segment_table(plan: Plan) -> list:
-    """The checkpoint header's [name, offset, length] row of each segment."""
-    return [[name, sl.start, sl.stop - sl.start]
-            for name, sl in plan.segments.items()]
-
-
-def save_checkpoint(path, store: ParamStore, config: ModelConfig,
-                    extra_arrays: dict | None = None,
-                    meta: dict | None = None) -> None:
-    """Write the store plus named extra vectors in a self-describing file.
-
-    The store must have `config`'s parameter count.
-    """
-    plan = _plan(config)
-    if store.n != plan.n:
-        raise ValueError(f"store has {store.n} values, the model config's "
-                         f"layout {plan.n}")
-    arrays = [("values", np.asarray(store.values, dtype=np.float64))]
-    for name in sorted(extra_arrays or {}):
-        arrays.append((name, np.asarray(extra_arrays[name], dtype=np.float64)))
-    header = {
-        "format": _CKPT_FORMAT,
-        "segments": _segment_table(plan),
-        "config": config.to_dict(),
-        "meta": meta or {},
-        "arrays": [{"name": n, "length": int(a.size)} for n, a in arrays],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(a.astype("<f8").tobytes())
-
-
-def _check_header(header: dict) -> None:
-    missing = {"segments", "config", "meta", "arrays"} - set(header)
-    if missing:
-        raise ValueError(f"checkpoint header lacks {sorted(missing)}")
-    if not (isinstance(header["meta"], dict)
-            and isinstance(header["arrays"], list)):
-        raise ValueError("checkpoint meta must be an object and arrays a list")
-    for spec in header["arrays"]:
-        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
-                and _has_type(spec.get("length"), int)
-                and spec["length"] >= 0):
-            raise ValueError(f"checkpoint array entry {spec!r} needs a name "
-                             "and a non-negative int length")
-
-
-def load_checkpoint(path):
-    """Read a checkpoint; returns (ParamStore, ModelConfig, extras, meta).
-
-    A header that is not an object with `segments` (the [name, offset,
-    length] rows of its `config`'s layout), `config`, `meta` (an object)
-    and `arrays` (each named, with a non-negative int length), a `values`
-    array of another length than the config's parameter count, a file cut
-    short, or one carrying bytes past its last array is a ValueError.
-    """
-    with open(path, "rb") as fh:
-        prefix = fh.read(8)
-        if len(prefix) != 8:
-            raise ValueError("not a recognized checkpoint file")
-        (hlen,) = struct.unpack("<Q", prefix)
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if not isinstance(header, dict) or header.get("format") != _CKPT_FORMAT:
-            raise ValueError("not a recognized checkpoint file")
-        _check_header(header)
-        arrays = {}
-        for spec in header["arrays"]:
-            raw = fh.read(spec["length"] * 8)
-            if len(raw) != spec["length"] * 8:
-                raise ValueError(f"checkpoint truncated in array {spec['name']!r}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        if fh.read(1):
-            raise ValueError("checkpoint has trailing bytes")
-    config = ModelConfig.from_dict(header["config"])
-    plan = _plan(config)
-    if header["segments"] != _segment_table(plan):
-        raise ValueError("checkpoint segments must be [name, offset, length] "
-                         "rows matching the layout of its model config")
-    if "values" not in arrays:
-        raise ValueError("checkpoint has no values array")
-    store = ParamStore(plan.n, values=arrays.pop("values"))
-    return store, config, arrays, header["meta"]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import struct
@@ -9,7 +8,8 @@ import pytest
 from camfed import cli, experiments
 from camfed.cli import main as cli_main
 from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
-                                preset, run_experiment, sweep)
+                                load_checkpoint, preset, run_experiment,
+                                save_checkpoint, sweep)
 from camfed.model import ModelConfig
 
 
@@ -24,6 +24,13 @@ def tiny_config(**changes):
                           n_azimuth_bins=12, n_elevation_bins=2))
     base.update(changes)
     return ExperimentConfig(**base)
+
+
+def with_header(blob, edit):
+    """Checkpoint bytes `blob` with the header replaced by edit(header)."""
+    (hlen,) = struct.unpack("<Q", blob[:8])
+    header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
+    return struct.pack("<Q", len(header)) + header + blob[8 + hlen:]
 
 
 class TestPresets:
@@ -339,16 +346,64 @@ class TestRunExperiment:
         assert again.to_dict() == cfg.to_dict()
 
     def test_interval_checkpoints(self, tmp_path):
-        from camfed.model import load_checkpoint
         cfg = tiny_config(rounds=4, checkpoint_every=2)
         run_experiment(cfg, tmp_path / "run")
         mid = tmp_path / "run" / "checkpoint_round_2.bin"
         assert mid.exists()
-        _, _, extras, meta = load_checkpoint(mid)
-        assert meta["round"] == 2
-        assert "private:0" in extras and "private:1" in extras
+        engine = load_checkpoint(mid)
+        assert engine.round == 2
+        assert engine.config.to_dict() == cfg.to_dict()
         # the final round is only in checkpoint.bin, not duplicated
         assert not (tmp_path / "run" / "checkpoint_round_4.bin").exists()
+
+
+class TestCheckpoint:
+    @staticmethod
+    def assert_same_state(loaded, engine):
+        assert loaded.config.to_dict() == engine.config.to_dict()
+        assert loaded.round == engine.round
+        assert loaded.store.values.tobytes() == engine.store.values.tobytes()
+        for a, b in zip(loaded.clients, engine.clients, strict=True):
+            assert a.private_values.tobytes() == b.private_values.tobytes()
+
+    def test_roundtrip_after_fedcap_run(self, tmp_path):
+        engine, _ = run_experiment(tiny_config(), tmp_path / "run")
+        loaded = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        self.assert_same_state(loaded, engine)
+        assert loaded.round == 3
+        # each client trained its own pos_embed slice
+        a, b = (c.private_values for c in loaded.clients)
+        assert a.size > 0 and not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scheme", ["fedcap", "fedavg"])
+    def test_roundtrip_before_any_round(self, tmp_path, scheme):
+        engine = build_engine(tiny_config(scheme=scheme))
+        save_checkpoint(engine, tmp_path / "model.ckpt")
+        self.assert_same_state(load_checkpoint(tmp_path / "model.ckpt"),
+                               engine)
+
+    def test_payload_is_shared_values_then_private_slices(self, tmp_path):
+        engine, _ = run_experiment(tiny_config(), tmp_path / "run")
+        blob = (tmp_path / "run" / "checkpoint.bin").read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8:8 + hlen])
+        assert header["format"] == "camfed-checkpoint-v2"
+        assert set(header) == {"format", "round", "config", "crc32"}
+        assert ExperimentConfig.from_dict(header["config"]) == engine.config
+        expected = np.concatenate([engine.store.values]
+                                  + [c.private_values for c in engine.clients])
+        assert blob[8 + hlen:] == expected.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:-400], lambda blob: blob[:-1],
+        lambda blob: blob + b"\0", lambda blob: blob[:5]],
+        ids=["cut-400", "cut-1", "extra-byte", "no-header"])
+    def test_wrong_length_rejected(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_engine(tiny_config()), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
 
 
 class TestSweep:
@@ -393,6 +448,20 @@ class TestSweep:
         with pytest.raises(ValueError, match=axis):
             sweep(tiny_config(rounds=2), axis, values, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values", [
+        ("topk_retention", [0.5, 0.5]), ("topk_retention", [0.1, 1e-1]),
+        ("straggler_ratio", [0.0, 0.2, 0]), ("select_m", [1, 2, 1.0])])
+    def test_repeated_value_fails_before_any_run(self, axis, values,
+                                                 tmp_path, monkeypatch):
+        # equal values would write one <axis>_<value> directory twice
+        built = []
+        monkeypatch.setattr(experiments, "build_client_dataset",
+                            lambda *a, **k: built.append(a))
+        out = tmp_path / "sw"
+        with pytest.raises(ValueError, match=f"{axis} takes each value once"):
+            sweep(tiny_config(rounds=2), axis, values, out)
+        assert built == [] and not out.exists()
 
     def test_bad_axis(self, tmp_path):
         with pytest.raises(ValueError):
@@ -447,21 +516,6 @@ class TestCli:
         assert (tmp_path / "xe" / "cross_eval.csv").read_bytes() == \
             (out / "cross_eval.csv").read_bytes()
 
-    def test_cross_eval_missing_private_slice_fails(self, tmp_path, capsys):
-        from camfed.model import load_checkpoint, save_checkpoint
-        out = tmp_path / "run"
-        run_experiment(tiny_config(), out)
-        store, config, extras, meta = load_checkpoint(out / "checkpoint.bin")
-        del extras["private:1"]
-        save_checkpoint(tmp_path / "partial.bin", store, config,
-                        extra_arrays=extras, meta=meta)
-        code = cli_main(["cross-eval", "--checkpoint",
-                         str(tmp_path / "partial.bin"),
-                         "--out", str(tmp_path / "xe")])
-        assert code == 1
-        assert "private:1" in capsys.readouterr().err
-        assert not (tmp_path / "xe" / "cross_eval.csv").exists()
-
     def test_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         tiny_config(rounds=2).save_json(cfg_path)
@@ -491,6 +545,19 @@ class TestCli:
             "error: select_m takes whole numbers, got '1.5'\n")
         assert not (tmp_path / "bad").exists()
 
+    def test_sweep_repeated_value_exits_1_without_output(self, tmp_path,
+                                                         capsys):
+        cfg_path = tmp_path / "cfg.json"
+        tiny_config(rounds=1).save_json(cfg_path)
+        out = tmp_path / "sw"
+        code = cli_main(["sweep", "--config", str(cfg_path), "--axis",
+                         "topk_retention", "--values", "0.1,1e-1",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: topk_retention takes each value once, got 0.1 twice\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("rounds", 0), ("warmup_rounds", -1), ("batch_size", 0),
         ("topk_retention", 1.5), ("topk_retention", -0.2),
@@ -498,8 +565,8 @@ class TestCli:
         ("scheme", "bogus"), ("straggler_ratio", 7.5),
         ("lr_u", float("nan")), ("lr_u", -1.0), ("lr_v", float("inf")),
         ("bits_budget", -5), ("checkpoint_every", 0),
-        ("model", tiny_config().model.to_dict() | {"n_view_channels": 3}),
-        ("model", tiny_config().model.to_dict() | {"max_cameras": 2})])
+        ("model", tiny_config().to_dict()["model"] | {"n_view_channels": 3}),
+        ("model", tiny_config().to_dict()["model"] | {"max_cameras": 2})])
     def test_out_of_range_setting_exits_1_without_artifacts(
             self, field, value, tmp_path, capsys):
         doc = tiny_config().to_dict() | {field: value}
@@ -582,73 +649,41 @@ class TestCli:
         assert captured.err == "error: unknown CAMFED_LOG_LEVEL 'bogus'\n"
         assert captured.out == ""
 
-    @staticmethod
-    def with_header(blob, edit):
-        """`blob` with its checkpoint header replaced by edit(header)."""
-        (hlen,) = struct.unpack("<Q", blob[:8])
-        header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
-        return struct.pack("<Q", len(header)) + header + blob[8 + hlen:]
-
-    @staticmethod
-    def negative_length(header):
-        header["arrays"][1]["length"] = -1
-        return header
-
-    @staticmethod
-    def no_values(header):
-        header["arrays"][0]["name"] = "shared"
-        return header
-
-    @staticmethod
-    def other_run_model(header):
-        header["meta"]["config"]["model"]["world_extent"] = 8.0
-        return header
-
-    @pytest.mark.parametrize("case, message", [
-        ("list-header", "not a recognized checkpoint file"),
-        ("no-arrays", "checkpoint header lacks ['arrays']"),
-        ("negative-length", "a non-negative int length"),
-        ("scalar-segments", "segments must be [name, offset, length]"),
-        ("default-meta", "checkpoint meta has no run config"),
-        ("one-segment", "rows matching the layout of its model config"),
-        ("foreign-values", "rows matching the layout of its model config"),
-        ("other-run-model", "model config differs from its run config"),
-        ("no-values", "checkpoint has no values array"),
-    ], ids=["list-header", "no-arrays", "negative-length", "scalar-segments",
-            "default-meta", "one-segment", "foreign-values",
-            "other-run-model", "no-values"])
-    def test_cross_eval_rejects_malformed_checkpoint(self, case, message,
-                                                    tmp_path, capsys):
-        from camfed.model import init_params, load_checkpoint, save_checkpoint
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: with_header(blob, lambda h: [h]),
+         "not a camfed-checkpoint-v2 file"),
+        (lambda blob: with_header(blob, lambda h: h | {
+            "format": "camfed-checkpoint-v1"}),
+         "not a camfed-checkpoint-v2 file"),
+        (lambda blob: with_header(blob, lambda h: {
+            k: v for k, v in h.items() if k != "round"}),
+         "checkpoint round must be an int in 0..1, got None"),
+        (lambda blob: with_header(blob, lambda h: h | {"round": -1}),
+         "checkpoint round must be an int in 0..1, got -1"),
+        (lambda blob: with_header(blob, lambda h: h | {"round": 2}),
+         "checkpoint round must be an int in 0..1, got 2"),
+        (lambda blob: blob[:-8], "checkpoint payload has"),
+        (lambda blob: blob + b"\0", "checkpoint payload has"),
+        (lambda blob: with_header(blob, lambda h: h | {
+            "crc32": h["crc32"] ^ 1}),
+         "checkpoint payload does not match its CRC32"),
+        (lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
+         "checkpoint payload does not match its CRC32"),
+    ], ids=["list-header", "v1-header", "no-round", "negative-round",
+            "round-past-rounds", "cut-short", "one-byte-long", "bad-crc",
+            "flipped-byte"])
+    def test_cross_eval_rejects_malformed_checkpoint(self, damage, message,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
         run = tmp_path / "run"
         run_experiment(tiny_config(rounds=1), run)
-        blob = (run / "checkpoint.bin").read_bytes()
         bad = tmp_path / "bad.bin"
-        if case == "default-meta":
-            store, config, extras, _ = load_checkpoint(run / "checkpoint.bin")
-            save_checkpoint(bad, store, config, extra_arrays=extras)
-        elif case == "foreign-values":
-            # a smaller model's values and segment table, under the
-            # header config of the run's model
-            _, config, extras, meta = load_checkpoint(run / "checkpoint.bin")
-            other = dataclasses.replace(config, feat_dim=4)
-            save_checkpoint(bad, init_params(other, seed=0), other,
-                            extra_arrays=extras, meta=meta)
-            bad.write_bytes(self.with_header(
-                bad.read_bytes(), lambda h: h | {"config": config.to_dict()}))
-        else:
-            edit = {"list-header": lambda h: [h],
-                    "no-arrays": lambda h: {k: v for k, v in h.items()
-                                            if k != "arrays"},
-                    "negative-length": self.negative_length,
-                    "scalar-segments": lambda h: h | {"segments": 5},
-                    # one segment as long as the values array (the first)
-                    "one-segment": lambda h: h | {"segments": [
-                        ["whatever", 0, h["arrays"][0]["length"]]]},
-                    # same layout, another world extent
-                    "other-run-model": self.other_run_model,
-                    "no-values": self.no_values}[case]
-            bad.write_bytes(self.with_header(blob, edit))
+        bad.write_bytes(damage((run / "checkpoint.bin").read_bytes()))
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(experiments, "build_client_dataset", no_dataset)
         capsys.readouterr()
         out = tmp_path / "xe"
         code = cli_main(["cross-eval", "--checkpoint", str(bad),

@@ -1,6 +1,4 @@
-import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -8,9 +6,8 @@ import pytest
 from camfed import autodiff as ad
 from camfed.model import (SEGMENT_NAMES, ModelConfig, ToyBevt, _plan,
                           _rig_geometry, camera_ray_directions, init_params,
-                          load_checkpoint, pose_rotation, private_segments,
-                          ray_features, save_checkpoint, split_params)
-from camfed.params import ParamStore
+                          pose_rotation, private_segments, ray_features,
+                          split_params)
 from camfed.world import CameraPose, CameraRig, rig_from_preset
 
 SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
@@ -396,83 +393,3 @@ class TestBackward:
         full, _ = _rig_geometry(small_rig(2), 24)
         assert full is not rays
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        store = init_params(SMALL, seed=11)
-        extras = {"private:0": np.arange(4.0), "private:1": np.ones(3)}
-        meta = {"round": 7, "note": "test"}
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, store, SMALL, extra_arrays=extras, meta=meta)
-        store2, cfg2, extras2, meta2 = load_checkpoint(path)
-        assert cfg2 == SMALL
-        assert meta2 == meta
-        np.testing.assert_array_equal(store2.values, store.values)
-        assert store2.n == store.n
-        np.testing.assert_array_equal(extras2["private:0"], np.arange(4.0))
-        np.testing.assert_array_equal(extras2["private:1"], np.ones(3))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        blob = b'{"format": "other"}'
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("damage", [
-        lambda blob: blob[:-400], lambda blob: blob[:-1],
-        lambda blob: blob + b"\0", lambda blob: blob[:5]],
-        ids=["cut-400", "cut-1", "extra-byte", "no-header"])
-    def test_wrong_length_rejected(self, tmp_path, damage):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(SMALL, seed=11), SMALL,
-                        extra_arrays={"private:0": np.arange(100.0)})
-        path.write_bytes(damage(path.read_bytes()))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    @staticmethod
-    def rewrite_header(path, edit):
-        """Replace the checkpoint header at `path` by edit(header)."""
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[:8])
-        header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
-        path.write_bytes(struct.pack("<Q", len(header)) + header
-                         + blob[8 + hlen:])
-
-    def test_segment_table_must_match_config(self, tmp_path):
-        # one segment of the right total length is not the config's layout
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(SMALL, seed=11), SMALL)
-        n = _plan(SMALL).n
-        self.rewrite_header(path, lambda h: h | {
-            "segments": [["whatever", 0, n]]})
-        with pytest.raises(ValueError, match="layout of its model config"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("table", ["own", "config"])
-    def test_values_length_must_match_config(self, tmp_path, table):
-        # a smaller model's values under SMALL's config, with the smaller
-        # model's segment table (which fits the values) or SMALL's
-        other = ModelConfig(feat_dim=4, bev_grid=(8, 8), n_azimuth_bins=12,
-                            n_elevation_bins=2)
-        assert _plan(other).n != _plan(SMALL).n
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(other, seed=11), other)
-
-        def edit(header):
-            header["config"] = SMALL.to_dict()
-            if table == "config":
-                header["segments"] = [[name, sl.start, sl.stop - sl.start]
-                                      for name, sl in SEGMENTS.items()]
-            return header
-
-        self.rewrite_header(path, edit)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_save_rejects_a_store_of_another_size(self, tmp_path):
-        with pytest.raises(ValueError, match="layout"):
-            save_checkpoint(tmp_path / "model.ckpt", ParamStore(5), SMALL)
