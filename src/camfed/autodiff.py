@@ -72,13 +72,10 @@ def relu_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # One exp of -|x| serves both signs, so it never overflows: 1/(1+e)
+    # where x >= 0, e/(1+e) below. Bit for bit the two-branch formula.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def layer_norm(a: np.ndarray, eps: float = 1e-5):
@@ -112,20 +109,52 @@ def layer_norm_backward(g: np.ndarray, xhat: np.ndarray,
     return ga
 
 
-def _softmax_(x: np.ndarray) -> None:
-    """Softmax over the last axis, in place.
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of x over axis 2, bit for bit `x.sum(axis=-1)` of x with that
+    axis moved last and made contiguous.
 
-    The row max is taken one column at a time: max is exact in any order,
-    and a short last axis makes numpy's strided reduction the slower way.
-    Where +0.0 and -0.0 tie for a row's max, either sign gives the same
-    exp(x - max), so the result does not depend on which one wins.
+    Float addition is not associative, so a key-major softmax matches the
+    query-major one (and the model's outputs match their earlier values)
+    only if its sums add in numpy's order. numpy sums a contiguous row
+    pairwise from +0.0, and this adds whole slices x[:, :, i] in that same
+    order: one at a time below 8 slices; up to 128, eight running sums over
+    blocks of 8, joined by the fixed tree ((0+1)+(2+3))+((4+5)+(6+7)) and
+    followed by the remainder one at a time; above 128, the two halves,
+    split at a multiple of 8, each summed so. Each addition covers every
+    output at once, so a short summed axis costs a few calls, not one per
+    output.
     """
-    row_max = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(row_max, x[..., j], out=row_max)
-    x -= row_max[..., None]
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    n = x.shape[2]
+    if n < 8:
+        out = x[:, :, 0] + 0.0
+        for i in range(1, n):
+            out += x[:, :, i]
+        return out
+    out = _pairwise_block(x, 0, n)
+    out += 0.0      # numpy's reduction starts from +0.0
+    return out
+
+
+def _pairwise_block(x: np.ndarray, lo: int, n: int) -> np.ndarray:
+    # numpy's pairwise_sum of x[:, :, lo:lo + n] for n >= 8
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        out = _pairwise_block(x, lo, half)
+        out += _pairwise_block(x, lo + half, n - half)
+        return out
+    r = x[:, :, lo:lo + 8].copy()
+    end = lo + n - n % 8
+    for i in range(lo + 8, end, 8):
+        r += x[:, :, i:i + 8]
+    out = r[:, :, 0] + r[:, :, 1]
+    out += r[:, :, 2] + r[:, :, 3]
+    right = r[:, :, 4] + r[:, :, 5]
+    right += r[:, :, 6] + r[:, :, 7]
+    out += right
+    for i in range(end, lo + n):
+        out += x[:, :, i]
+    return out
 
 
 def batched_cross_attention(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray,
@@ -138,7 +167,17 @@ def batched_cross_attention(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray,
     (batch*n_q, f) output and what the backward keeps: the attention
     weights and the per-head views of qp, kp and vp.
 
-    The whole batch runs as a handful of broadcasted 3-D matmuls.
+    The weights are key-major, (batch, n_heads, n_k, n_q): the softmax runs
+    over axis 2, so its max, shift, exp and divide each broadcast along the
+    contiguous query axis (n_q is the BEV grid's cell count, n_k only the
+    number of active camera bins), one numpy call each instead of one per
+    query row. The max is exact in any order and the row sums go through
+    `_pairwise_sum`, so the weights are bit for bit those of a query-major
+    softmax over the last axis. The matmuls are the query-major ones with
+    operands swapped or transposed. OpenBLAS gives the same products at the
+    model's head width of 8; at some widths (1-4 and 12 of those tried) its
+    kernel for a transposed operand sums in another order, so the outputs
+    differ from a query-major kernel's in the last bits.
     """
     f = qp.shape[1]
     if f % n_heads != 0:
@@ -152,30 +191,33 @@ def batched_cross_attention(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray,
     k4 = kp.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
     v4 = vp.reshape(batch, n_k, n_heads, dh).transpose(0, 2, 1, 3)
 
-    attn = q4 @ k4.transpose(0, 1, 3, 2)                            # (B,H,nq,nk)
+    attn = k4 @ q4.transpose(0, 1, 3, 2)                            # (B,H,nk,nq)
     attn *= scale_f
-    _softmax_(attn)
-    out4 = attn @ v4                                                # (B,H,nq,dh)
+    # where +0.0 and -0.0 tie for the max, either gives the same exp(x - max)
+    attn -= np.maximum.reduce(attn, axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= _pairwise_sum(attn)[:, :, None]
+    out4 = attn.transpose(0, 1, 3, 2) @ v4                          # (B,H,nq,dh)
     out = out4.transpose(0, 2, 1, 3).reshape(batch * n_q, f)
     return out, (attn, q4, k4, v4)
 
 
 def batched_cross_attention_backward(g: np.ndarray, kept):
     """Gradients of (qp, kp, vp) from the output gradient g, (batch*n_q, f),
-    and the forward's `kept` tuple."""
+    and the forward's `kept` tuple, whose weights are key-major."""
     attn, q4, k4, v4 = kept
-    batch, n_heads, n_q, n_k = attn.shape
+    batch, n_heads, n_k, n_q = attn.shape
     dh = q4.shape[-1]
     f = n_heads * dh
     scale_f = 1.0 / math.sqrt(dh)
     g4 = g.reshape(batch, n_q, n_heads, dh).transpose(0, 2, 1, 3)
-    gv = attn.transpose(0, 1, 3, 2) @ g4                            # (B,H,nk,dh)
-    gs = g4 @ v4.transpose(0, 1, 3, 2)                              # (B,H,nq,nk)
-    gs -= (gs * attn).sum(axis=-1, keepdims=True)
+    gv = attn @ g4                                                  # (B,H,nk,dh)
+    gs = v4 @ g4.transpose(0, 1, 3, 2)                              # (B,H,nk,nq)
+    gs -= _pairwise_sum(gs * attn)[:, :, None]
     gs *= attn
     gs *= scale_f
-    gq = (gs @ k4).sum(axis=0)                                      # (H,nq,dh)
-    gk = gs.transpose(0, 1, 3, 2) @ q4                              # (B,H,nk,dh)
+    gq = (gs.transpose(0, 1, 3, 2) @ k4).sum(axis=0)                # (H,nq,dh)
+    gk = gs @ q4                                                    # (B,H,nk,dh)
     return (gq.transpose(1, 0, 2).reshape(n_q, f),
             gk.transpose(0, 2, 1, 3).reshape(batch * n_k, f),
             gv.transpose(0, 2, 1, 3).reshape(batch * n_k, f))

@@ -256,9 +256,12 @@ def write_rounds_csv(records, path) -> None:
 def summarize(engine: FederationEngine) -> dict:
     """Per-client summaries plus run-level telemetry, as a JSON-able dict."""
     config = engine.config
+    by_client = {c.client_id: [] for c in engine.clients}
+    for r in engine.records:
+        by_client[r.client_id].append(r)
     per_client = []
     for c in engine.clients:
-        recs = [r for r in engine.records if r.client_id == c.client_id]
+        recs = by_client[c.client_id]
         iou_series = [r.val_iou for r in recs]
         losses = [r.train_loss for r in recs if not np.isnan(r.train_loss)]
         per_client.append({

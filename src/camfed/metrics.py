@@ -11,25 +11,30 @@ from .model import ToyBevt
 
 
 def iou(pred_logits: np.ndarray, gt: np.ndarray, mask: np.ndarray,
-        threshold: float = 0.5) -> float:
+        threshold: float = 0.5):
     """Vehicle-class intersection-over-union on the unmasked cells.
 
-    Predictions are sigmoid(logit) >= threshold. An empty union (no
+    `pred_logits` and the {0,1} `gt` are (n, h, w) for a stack of samples,
+    which gets an array of n scores, or (h, w) for one, which is a stack of
+    one and gets a float; the {0,1} `mask` is (h, w) and shared by every
+    sample. Predictions are sigmoid(logit) >= threshold. An empty union (no
     predicted and no true cells) counts as a perfect 1.0.
     """
     z = np.asarray(pred_logits, dtype=np.float64)
-    if z.shape != gt.shape or z.shape != mask.shape:
+    one = z.ndim == 2
+    if one:
+        z, gt = z[None], gt[None]
+    if z.ndim != 3 or gt.shape != z.shape or mask.shape != z.shape[1:]:
         raise ValueError("iou: shape mismatch")
     active = mask == 1.0
     if not active.any():
         raise EmptySupportError("iou: every cell is masked out")
     pred = _sigmoid(z) >= threshold
     truth = gt == 1.0
-    inter = np.sum(pred & truth & active)
-    union = np.sum((pred | truth) & active)
-    if union == 0:
-        return 1.0
-    return float(inter / union)
+    inter = np.count_nonzero(pred & truth & active, axis=(1, 2))
+    union = np.count_nonzero((pred | truth) & active, axis=(1, 2))
+    scores = np.divide(inter, union, out=np.ones(len(z)), where=union > 0)
+    return float(scores[0]) if one else scores
 
 
 EVAL_CHUNK = 8
@@ -40,10 +45,10 @@ def mean_ious(model: ToyBevt, clients: list) -> list:
 
     A client is anything with `rig`, `mask` and `dataset.test`; one without
     test points gets nan. Clients with equal rigs and masks form one
-    group, whose test points run through forward_batch EVAL_CHUNK at a time
-    whichever client they belong to: a point's logits do not depend on its
-    batch-mates, and the bound keeps each forward's arrays small. Each
-    forward's activations are dropped as soon as it returns.
+    group, whose test points run through forward_batch and `iou` EVAL_CHUNK
+    at a time whichever client they belong to: a point's logits do not
+    depend on its batch-mates, and the bound keeps each forward's arrays
+    small. Each forward's activations are dropped as soon as it returns.
     """
     groups = {}
     for k, c in enumerate(clients):
@@ -57,8 +62,9 @@ def mean_ious(model: ToyBevt, clients: list) -> list:
             chunk = jobs[lo:lo + EVAL_CHUNK]
             # index the pair, so the activations go before the next forward
             logits = model.forward_batch([p.views for _, p in chunk], rig)[0]
-            for (k, p), lg in zip(chunk, logits):
-                scores[k].append(iou(lg, p.bev_gt, mask))
+            truth = np.stack([p.bev_gt for _, p in chunk])
+            for (k, _), s in zip(chunk, iou(logits, truth, mask).tolist()):
+                scores[k].append(s)
     return [float(np.mean(s)) if s else float("nan") for s in scores]
 
 

@@ -394,9 +394,9 @@ class ToyBevt:
         pos_in, active = _rig_geometry(rig, cfg.n_azimuth_bins)
         batch, f = len(views_list), cfg.feat_dim
         p = self._arrays(self.params.values)
-        tokens = np.concatenate(
-            [v.reshape(len(active), cfg.token_dim)[active]
-             for v in views_list], axis=0)
+        tokens = np.stack(views_list).reshape(
+            batch, len(active), cfg.token_dim)[:, active].reshape(
+                -1, cfg.token_dim)
         enc_hidden = ad.relu(ad.affine(tokens, p["encoder.w1"],
                                        p["encoder.b1"]))
         enc = ad.affine(enc_hidden, p["encoder.w2"], p["encoder.b2"])

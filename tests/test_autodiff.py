@@ -197,6 +197,20 @@ class TestBceWithLogits:
 
 
 class TestElementwiseOps:
+    def test_sigmoid_equals_two_branch_formula_bitwise(self):
+        rng = np.random.default_rng(29)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 700.0, -700.0, 745.0, -745.0,
+                 746.0, -746.0, np.inf, -np.inf]
+        x = np.concatenate([rng.standard_normal(10**5) * 30.0, edges])
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert ad._sigmoid(x).tobytes() == want.tobytes()
+        batch = x[:1024].reshape(4, 16, 16)
+        assert ad._sigmoid(batch).tobytes() == want[:1024].tobytes()
+
     def test_relu(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -299,28 +313,50 @@ def mean_max_attention(q, k, v, n_heads, batch, g):
             gv.transpose(0, 2, 1, 3).reshape(batch * n_k, f))
 
 
-class TestBatchedCrossAttention:
-    @pytest.mark.parametrize("batch,heads,n_q,n_k,dh",
-                             [(4, 2, 256, 24, 8), (3, 3, 7, 5, 3)])
-    def test_equals_mean_max_formula_exactly(self, batch, heads, n_q, n_k,
-                                             dh):
-        rng = np.random.default_rng(27)
-        f = heads * dh
-        q = rng.standard_normal((n_q, f)) * 2.0
-        k = rng.standard_normal((batch * n_k, f))
-        v = rng.standard_normal((batch * n_k, f))
-        g = rng.standard_normal((batch * n_q, f))
-        # top-score ties: query 0 scores every key +0.0, and keys 0 and 1
-        # of every sample point far along query 1
-        q[0] = 0.0
+def assert_attention_equals_mean_max(batch, heads, n_q, n_k, dh):
+    rng = np.random.default_rng(27)
+    f = heads * dh
+    q = rng.standard_normal((n_q, f)) * 2.0
+    k = rng.standard_normal((batch * n_k, f))
+    v = rng.standard_normal((batch * n_k, f))
+    g = rng.standard_normal((batch * n_q, f))
+    # top-score ties: query 0 scores every key +0.0, and keys 0 and 1 of
+    # every sample point far along query 1
+    q[0] = 0.0
+    if n_k > 1:
         for b in range(batch):
             k[b * n_k] = k[b * n_k + 1] = 4.0 * q[1]
-        out, kept = ad.batched_cross_attention(q, k, v, n_heads=heads,
-                                               batch=batch)
-        gq, gk, gv = ad.batched_cross_attention_backward(g, kept)
-        want = mean_max_attention(q, k, v, heads, batch, g)
-        for got, ref in zip((out, gq, gk, gv), want):
-            np.testing.assert_array_equal(got, ref)
+    out, kept = ad.batched_cross_attention(q, k, v, n_heads=heads,
+                                           batch=batch)
+    gq, gk, gv = ad.batched_cross_attention_backward(g, kept)
+    want = mean_max_attention(q, k, v, heads, batch, g)
+    for got, ref in zip((out, gq, gk, gv), want):
+        np.testing.assert_array_equal(got, ref)
+
+
+class TestBatchedCrossAttention:
+    # The model's heads (2 of width 8 over a 16x16 grid) with key counts
+    # that cross numpy's pairwise-sum thresholds at 8 and 128, plus a small
+    # odd shape. The key-major matmuls give the query-major products bit for
+    # bit at these head widths; at some others (1-4, 12) OpenBLAS picks a
+    # kernel for the transposed operand that sums in another order.
+    @pytest.mark.parametrize("batch,heads,n_q,n_k,dh", [
+        (batch, 2, 256, n_k, 8)
+        for n_k in (1, 5, 7, 8, 9, 16, 18, 24, 129, 200)
+        for batch in (1, 2, 4, 8)] + [(3, 3, 7, 5, 3)])
+    def test_equals_mean_max_formula_exactly(self, batch, heads, n_q, n_k,
+                                             dh):
+        assert_attention_equals_mean_max(batch, heads, n_q, n_k, dh)
+
+    @pytest.mark.parametrize("n", [1, 5, 7, 8, 9, 16, 18, 24, 127, 128, 129,
+                                   200, 300])
+    def test_pairwise_sum_equals_numpy_row_sum_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2, 3, n, 5)) * 10.0 ** rng.uniform(
+            -8, 8, (2, 3, n, 5))
+        x[0, 0] = -0.0          # an all -0.0 row sums to +0.0
+        want = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).sum(axis=-1)
+        assert ad._pairwise_sum(x).tobytes() == want.tobytes()
 
     def test_softmax_signed_zero_ties_equal_mean_max_formula(self):
         rng = np.random.default_rng(28)
@@ -333,8 +369,12 @@ class TestBatchedCrossAttention:
         x[1, :, :, :3] = -np.abs(x[1, :, :, :3]) - 1.0
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        ad._softmax_(x)
-        np.testing.assert_array_equal(x, want)
+        # the kernel's key-major softmax, keys on axis 2
+        w = np.ascontiguousarray(x.transpose(0, 1, 3, 2))
+        w -= np.maximum.reduce(w, axis=2, keepdims=True)
+        np.exp(w, out=w)
+        w /= ad._pairwise_sum(w)[:, :, None]
+        np.testing.assert_array_equal(w.transpose(0, 1, 3, 2), want)
 
     def test_gradient_shared_query(self):
         rng = np.random.default_rng(21)

@@ -525,26 +525,6 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
 
-    def test_sweep_values_parse_as_the_axis_type(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        tiny_config(rounds=1).save_json(cfg_path)
-        out = tmp_path / "sw"
-        code = cli_main(["sweep", "--config", str(cfg_path), "--axis",
-                         "topk_retention", "--values", "1e-1,1",
-                         "--out", str(out)])
-        assert code == 0
-        rows = (out / "sweep.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[0] for r in rows] == ["0.1", "1.0"]
-        assert (out / "topk_retention_0.1" / "rounds.csv").exists()
-        capsys.readouterr()
-        code = cli_main(["sweep", "--config", str(cfg_path), "--axis",
-                         "select_m", "--values", "1,1.5",
-                         "--out", str(tmp_path / "bad")])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: select_m takes whole numbers, got '1.5'\n")
-        assert not (tmp_path / "bad").exists()
-
     def test_sweep_repeated_value_exits_1_without_output(self, tmp_path,
                                                          capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -65,6 +65,33 @@ class TestIou:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             iou(np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            iou(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), np.ones((2, 3, 3)))
+
+    def test_stack_equals_one_call_per_point(self):
+        # samples 0 and 3 predict nothing and hold nothing: the empty-union
+        # 1.0; the rest score by the scalar counting formula
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((6, 8, 8)) * 4.0
+        gt = (rng.random((6, 8, 8)) < 0.2).astype(float)
+        mask = (rng.random((8, 8)) < 0.7).astype(float)
+        z[[0, 3]] = -BIG
+        gt[[0, 3]] = 0.0
+        got = iou(z, gt, mask)
+        assert got.shape == (6,)
+        active = mask == 1.0
+        for zi, gi, score in zip(z, gt, got):
+            pred, truth = 1.0 / (1.0 + np.exp(-zi)) >= 0.5, gi == 1.0
+            union = np.sum((pred | truth) & active)
+            want = (1.0 if union == 0
+                    else float(np.sum(pred & truth & active) / union))
+            assert score == iou(zi, gi, mask) == want
+        assert got[0] == got[3] == 1.0
+        assert ((0.0 < got) & (got < 1.0)).any()
+
+    def test_stack_all_masked_raises(self):
+        with pytest.raises(EmptySupportError):
+            iou(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2)))
 
 
 def make_client(rig, points, seed=0, mask=None):
