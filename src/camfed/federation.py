@@ -186,7 +186,7 @@ class FederationEngine:
     def personal_store(self, client: ClientState) -> ParamStore:
         """A copy of the engine's parameters carrying `client`'s private
         slice: the parameters of the client's personalized model."""
-        store = self.store.clone()
+        store = ParamStore(self.store.n, self.store.values)
         store.values[self.private_idx] = client.private_values
         return store
 

@@ -12,8 +12,9 @@ segments stay private on a client:
     fedtp   -> attention private (personalized attention)
     fedcap  -> pos_embed private (camera-geometry personalization)
 
-Tokens are (camera, azimuth-bin) pairs; the elevation axis of the rendered
-views is folded into the token channel dimension.
+Tokens are the rig's in-FoV (camera, azimuth-bin) pairs (`world.rig_tokens`);
+the elevation axis of the rendered views is folded into the token channel
+dimension.
 """
 
 import functools
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .params import ParamStore
-from .world import CameraRig, azimuth_bin_angles, cell_centers, in_fov_bins
+from .world import CameraRig, cell_centers, rig_tokens
 
 SEGMENT_NAMES = ("encoder", "pos_embed", "bev_query", "attention", "refine", "decoder")
 
@@ -144,42 +145,11 @@ def private_segments(scheme: str) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Camera geometry: per-token ray features in the vehicle frame
+# Fixed geometry inputs
 # ---------------------------------------------------------------------------
 
-def pose_rotation(roll_deg: float, pitch_deg: float, yaw_deg: float) -> np.ndarray:
-    """Camera-to-vehicle rotation, composed as Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    r, p, y = (math.radians(a) for a in (roll_deg, pitch_deg, yaw_deg))
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(p), math.sin(p)
-    cy, sy = math.cos(y), math.sin(y)
-    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]], dtype=np.float64)
-    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]], dtype=np.float64)
-    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]], dtype=np.float64)
-    return rz @ ry @ rx
-
-
-def camera_ray_directions(n_bins: int) -> np.ndarray:
-    """Unit ray directions per azimuth bin in the camera's own frame, (A, 3)."""
-    phis = np.radians(azimuth_bin_angles(n_bins))
-    return np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=1)
-
-
+# the positional embedding reads each token's vehicle-frame ray direction
 N_POS_FEATURES = 3
-
-
-def ray_features(rig: CameraRig, n_bins: int) -> np.ndarray:
-    """Per-token ray directions in the vehicle frame, (L*A, 3).
-
-    These are the embedding MLP's only input: mount height is deliberately
-    not one, so a client's embedding parameters are the only place where
-    that part of the calibration can live. Two rigs that differ only in
-    height produce identical embedding inputs but differently distributed
-    view features, which is what makes the embedding worth personalizing.
-    """
-    dirs_cam = camera_ray_directions(n_bins)
-    return np.vstack([dirs_cam @ pose_rotation(c.roll, c.pitch, c.yaw).T
-                      for c in rig.cameras])
 
 
 N_CELL_FEATURES = 5
@@ -292,31 +262,13 @@ def split_params(config: ModelConfig, scheme: str):
 # The model
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _rig_geometry(rig: CameraRig, n_bins: int):
-    """(ray features of the active bins, active-bin mask) for a rig.
-
-    Only bins inside a camera's field of view become attention tokens; the
-    remaining bins never carry content and a real camera would not produce
-    them at all. A pure function of the frozen rig, so it is cached and
-    shared, read-only, by every model and thread.
-    """
-    active = np.concatenate([in_fov_bins(c, n_bins) for c in rig.cameras])
-    if not active.any():
-        raise ValueError("no azimuth bin falls inside any camera FoV")
-    geometry = (ray_features(rig, n_bins)[active], active)
-    for a in geometry:
-        a.setflags(write=False)
-    return geometry
-
-
 class Activations(NamedTuple):
     """What `ToyBevt.backward` reads of one `forward_batch`: each stage's
     input rows, hidden relu outputs and layer-norm outputs."""
     batch: int
     tokens: np.ndarray          # encoder input, (batch*n_tok, token_dim)
     enc_hidden: np.ndarray
-    pos_in: np.ndarray          # ray features of the active bins, (n_tok, 3)
+    pos_in: np.ndarray          # the rig's token rays, (n_tok, 3)
     pos_hidden: np.ndarray
     tok: np.ndarray             # layer-normed tokens, (batch*n_tok, f)
     tok_inv_std: np.ndarray
@@ -384,19 +336,18 @@ class ToyBevt:
         row-wise stages (encoder, refine, decoder) run on the stacked rows.
         """
         cfg = self.config
-        n_cams = views_list[0].shape[0]
-        if n_cams > cfg.max_cameras:
-            raise ValueError(f"rig has {n_cams} cameras, model allows "
+        if len(rig) > cfg.max_cameras:
+            raise ValueError(f"rig has {len(rig)} cameras, model allows "
                              f"{cfg.max_cameras}")
-        if len(rig) != n_cams:
-            raise ValueError("views and rig disagree on camera count")
-
-        pos_in, active = _rig_geometry(rig, cfg.n_azimuth_bins)
+        pos_in = rig_tokens(rig).rays
+        expected = (len(pos_in), cfg.n_elevation_bins, cfg.n_view_channels)
+        for views in views_list:
+            if views.shape != expected:
+                raise ValueError(f"views of shape {views.shape} do not match "
+                                 f"the rig's tokens {expected}")
         batch, f = len(views_list), cfg.feat_dim
         p = self._arrays(self.params.values)
-        tokens = np.stack(views_list).reshape(
-            batch, len(active), cfg.token_dim)[:, active].reshape(
-                -1, cfg.token_dim)
+        tokens = np.stack(views_list).reshape(-1, cfg.token_dim)
         enc_hidden = ad.relu(ad.affine(tokens, p["encoder.w1"],
                                        p["encoder.b1"]))
         enc = ad.affine(enc_hidden, p["encoder.w2"], p["encoder.b2"])

@@ -24,8 +24,3 @@ class ParamStore:
                     f"values length {values.shape} does not match ({self.n},)")
             self.values = values.copy()
         self.grads = np.zeros(self.n, dtype=np.float64)
-
-    def clone(self) -> "ParamStore":
-        out = ParamStore(self.n, self.values)
-        out.grads = self.grads.copy()
-        return out

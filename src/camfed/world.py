@@ -10,17 +10,20 @@ preserving the geometry dependence.
 Conventions
 -----------
 World frame: ego at the origin, +x forward, +y left, angles CCW in degrees.
-Each camera has `n_azimuth_bins` ray bins spanning the full circle in its own
-yaw-rotated frame; only bins whose center angle lies inside the camera's
-field of view cast rays (closed edge), the rest stay zero. A hit writes four
-channels [presence, 1/(1+d), elevation angle normalized, radius/d clipped]
-into the elevation bin selected by the camera-frame elevation of the object
-base, so camera height and pitch both move features around.
+A rig splits the full circle of each camera's own yaw-rotated frame into
+`n_azimuth_bins` ray bins. Only bins whose center angle lies inside the
+camera's field of view (closed edge) cast rays, and each such (camera, bin)
+pair is one token: `rig_tokens` lists them, and a rendered view holds one
+row per token. A hit writes four channels [presence, 1/(1+d), elevation
+angle normalized, radius/d clipped] into the elevation bin selected by the
+camera-frame elevation of the object base, so camera height and pitch both
+move features around.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,26 +53,40 @@ class CameraPose:
     pitch: float = 0.0
     yaw: float = 0.0
     fov_azimuth: float = 100.0
-    n_azimuth_bins: int = 24
-    n_elevation_bins: int = 4
 
     def __post_init__(self):
         if self.height <= 0:
             raise ValueError("camera height must be positive")
         if not (0.0 < self.fov_azimuth <= 360.0):
             raise ValueError("fov_azimuth must be in (0, 360]")
-        if self.n_azimuth_bins < 1 or self.n_elevation_bins < 1:
-            raise ValueError("bin counts must be >= 1")
+
+
+def pose_rotation(roll_deg: float, pitch_deg: float, yaw_deg: float) -> np.ndarray:
+    """Camera-to-vehicle rotation, composed as Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    r, p, y = (math.radians(a) for a in (roll_deg, pitch_deg, yaw_deg))
+    cr, sr = math.cos(r), math.sin(r)
+    cp, sp = math.cos(p), math.sin(p)
+    cy, sy = math.cos(y), math.sin(y)
+    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]], dtype=np.float64)
+    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]], dtype=np.float64)
+    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]], dtype=np.float64)
+    return rz @ ry @ rx
 
 
 @dataclass(frozen=True)
 class CameraRig:
+    """Cameras sharing one bin grid: `n_azimuth_bins` over each camera's
+    full circle and `n_elevation_bins` over ELEVATION_RANGE."""
     cameras: tuple
     name: str = "custom"
+    n_azimuth_bins: int = 24
+    n_elevation_bins: int = 4
 
     def __post_init__(self):
         if not (1 <= len(self.cameras) <= 8):
             raise ValueError("a rig carries between 1 and 8 cameras")
+        if self.n_azimuth_bins < 1 or self.n_elevation_bins < 1:
+            raise ValueError("bin counts must be >= 1")
 
     def __len__(self):
         return len(self.cameras)
@@ -93,7 +110,7 @@ class Scene:
 
 @dataclass
 class DataPoint:
-    views: np.ndarray   # (L, A, E, C) float64
+    views: np.ndarray   # (n_tokens, E, C) float64, as render_views returns
     bev_gt: np.ndarray  # (h, w) {0,1} float64
 
 
@@ -111,8 +128,8 @@ class ClientDataset:
         return self.points[self.n_train:]
 
 
-def rig_from_preset(name: str, camera_ids=None, fov_azimuth: float = 100.0,
-                    n_azimuth_bins: int = 24, n_elevation_bins: int = 4) -> CameraRig:
+def rig_from_preset(name: str, camera_ids=None, n_azimuth_bins: int = 24,
+                    n_elevation_bins: int = 4) -> CameraRig:
     """Build one of the four standard rigs.
 
     `camera_ids` selects a subset by 1-based index (1 front, 2 left, 3 right,
@@ -125,13 +142,10 @@ def rig_from_preset(name: str, camera_ids=None, fov_azimuth: float = 100.0,
     ids = list(range(1, 5)) if camera_ids is None else list(camera_ids)
     if not ids or any(i not in (1, 2, 3, 4) for i in ids):
         raise ValueError("camera_ids must be a non-empty subset of 1..4")
-    cams = tuple(
-        CameraPose(height=height, roll=0.0, pitch=pitch, yaw=_PRESET_YAWS[i - 1],
-                   fov_azimuth=fov_azimuth, n_azimuth_bins=n_azimuth_bins,
-                   n_elevation_bins=n_elevation_bins)
-        for i in ids
-    )
-    return CameraRig(cameras=cams, name=name)
+    cams = tuple(CameraPose(height=height, roll=0.0, pitch=pitch,
+                            yaw=_PRESET_YAWS[i - 1]) for i in ids)
+    return CameraRig(cameras=cams, name=name, n_azimuth_bins=n_azimuth_bins,
+                     n_elevation_bins=n_elevation_bins)
 
 
 def sample_scene(rng: np.random.Generator, n_objects=DEFAULT_N_OBJECTS,
@@ -167,25 +181,43 @@ def wrap_angle(deg):
     return np.where(wrapped == -180.0, 180.0, wrapped)
 
 
-@functools.lru_cache(maxsize=64)
-def _rig_rays(rig: CameraRig):
-    """Every in-FoV ray of `rig`, in camera then bin order: camera index,
-    bin index and the unit direction (ux, uy), as read-only arrays.
+class RigTokens(NamedTuple):
+    """The tokens of a rig: one row per in-FoV (camera, azimuth bin), in
+    camera then bin order, as `rig_tokens` returns them."""
+    camera: np.ndarray  # camera index, (n,)
+    ux: np.ndarray      # ground bearing cos, (n,)
+    uy: np.ndarray      # ground bearing sin, (n,)
+    rays: np.ndarray    # vehicle-frame 3-D ray direction, (n, 3)
 
-    A pure function of the frozen rig, so it is cached: every data point of
-    a client shares one table.
+
+@functools.lru_cache(maxsize=64)
+def rig_tokens(rig: CameraRig) -> RigTokens:
+    """Every token of `rig`, as read-only arrays.
+
+    The rays are the model's only geometric input: mount height is
+    deliberately not one, so a client's embedding parameters are the only
+    place where that part of the calibration can live. A pure function of
+    the frozen rig, so it is cached: every data point and model of a rig
+    shares one table.
     """
-    cams, bins, ux, uy = [], [], [], []
+    phis = azimuth_bin_angles(rig.n_azimuth_bins)
+    rad = np.radians(phis)
+    dirs_cam = np.stack([np.cos(rad), np.sin(rad), np.zeros_like(rad)], axis=1)
+    cams, ux, uy, rays = [], [], [], []
     for ci, cam in enumerate(rig.cameras):
-        phis = azimuth_bin_angles(cam.n_azimuth_bins)
-        for bi in np.flatnonzero(in_fov_bins(cam, cam.n_azimuth_bins)):
+        keep = in_fov_bins(cam, rig.n_azimuth_bins)
+        rays.append((dirs_cam @ pose_rotation(cam.roll, cam.pitch,
+                                              cam.yaw).T)[keep])
+        for bi in np.flatnonzero(keep):
             bearing = float(wrap_angle(cam.yaw + phis[bi]))
             cams.append(ci)
-            bins.append(int(bi))
             ux.append(math.cos(math.radians(bearing)))
             uy.append(math.sin(math.radians(bearing)))
-    table = (np.array(cams, dtype=np.intp), np.array(bins, dtype=np.intp),
-             np.array(ux, dtype=np.float64), np.array(uy, dtype=np.float64))
+    if not cams:
+        raise ValueError("no azimuth bin falls inside any camera FoV")
+    table = RigTokens(np.array(cams, dtype=np.intp),
+                      np.array(ux, dtype=np.float64),
+                      np.array(uy, dtype=np.float64), np.vstack(rays))
     for a in table:
         a.setflags(write=False)
     return table
@@ -235,28 +267,28 @@ N_VIEW_CHANNELS = 4
 
 
 def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
-    """Ray-cast the scene into an (L, A, E, N_VIEW_CHANNELS) feature grid.
+    """Ray-cast the scene into an (n_tokens, E, N_VIEW_CHANNELS) feature
+    grid, one row per `rig_tokens` row.
 
     The elevation channel stores atan2(-height, d) / (pi/2); the elevation
     bin is chosen from the camera-frame angle atan2(-height, d) - pitch, so
     both mounting height and pitch reshape the features.
     """
-    first = rig.cameras[0]
-    n_a, n_e = first.n_azimuth_bins, first.n_elevation_bins
-    views = np.zeros((len(rig), n_a, n_e, N_VIEW_CHANNELS), dtype=np.float64)
-    cams, bins, ux, uy = _rig_rays(rig)
-    dists, radii = _nearest_hits(scene, ux, uy)
+    tokens = rig_tokens(rig)
+    views = np.zeros((len(tokens.camera), rig.n_elevation_bins,
+                      N_VIEW_CHANNELS), dtype=np.float64)
+    dists, radii = _nearest_hits(scene, tokens.ux, tokens.uy)
     hit = np.flatnonzero(np.isfinite(dists))
-    for ci, bi, d, radius in zip(cams[hit].tolist(), bins[hit].tolist(),
+    for ti, ci, d, radius in zip(hit.tolist(), tokens.camera[hit].tolist(),
                                  dists[hit].tolist(), radii[hit].tolist()):
         cam = rig.cameras[ci]
         elev_world = math.degrees(math.atan2(-cam.height, d))
         elev_cam = elev_world - cam.pitch
-        eb = elevation_bin(elev_cam, cam.n_elevation_bins)
-        views[ci, bi, eb, 0] = 1.0
-        views[ci, bi, eb, 1] = 1.0 / (1.0 + d)
-        views[ci, bi, eb, 2] = math.radians(elev_world) / (math.pi / 2.0)
-        views[ci, bi, eb, 3] = min(radius / d, 1.0) if d > 0 else 1.0
+        eb = elevation_bin(elev_cam, rig.n_elevation_bins)
+        views[ti, eb, 0] = 1.0
+        views[ti, eb, 1] = 1.0 / (1.0 + d)
+        views[ti, eb, 2] = math.radians(elev_world) / (math.pi / 2.0)
+        views[ti, eb, 3] = min(radius / d, 1.0) if d > 0 else 1.0
     return views
 
 
@@ -293,17 +325,15 @@ def rasterize_bev(scene: Scene, grid, extent: float) -> np.ndarray:
 
 
 def build_client_dataset(rig: CameraRig, n_points: int, seed: int,
-                         grid=(16, 16), extent: float = DEFAULT_EXTENT,
-                         n_objects=DEFAULT_N_OBJECTS,
-                         radius_range=DEFAULT_RADIUS_RANGE) -> ClientDataset:
+                         grid=(16, 16),
+                         extent: float = DEFAULT_EXTENT) -> ClientDataset:
     """Generate a deterministic dataset; first 80% of points are the train split."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
     points = []
     for _ in range(n_points):
-        scene = sample_scene(rng, n_objects=n_objects, extent=extent,
-                             radius_range=radius_range)
+        scene = sample_scene(rng, extent=extent)
         points.append(DataPoint(views=render_views(scene, rig),
                                 bev_gt=rasterize_bev(scene, grid, extent)))
     return ClientDataset(points=points, n_train=int(0.8 * n_points))

@@ -24,7 +24,8 @@ from camfed.model import ModelConfig, ToyBevt, _plan, init_params
 from camfed.optim import AdamW
 from camfed.params import ParamStore
 from camfed.seeding import derive_rng, derive_seed
-from camfed.world import CameraPose, CameraRig, build_client_dataset, rig_from_preset
+from camfed.world import (CameraPose, CameraRig, build_client_dataset,
+                          in_fov_bins, rig_from_preset)
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -180,9 +181,11 @@ class TestCriterion1:
         # 2-camera, 8x8-grid instances; probe a random coordinate subset
         rig = rig_from_preset("car", camera_ids=[1, 2], n_azimuth_bins=12,
                               n_elevation_bins=2)
+        tokens = np.stack([in_fov_bins(c, 12) for c in rig.cameras])
         worst = 0.0
         for inst in range(10):
-            views = rng.random((2, 12, 2, 4))
+            # a full (L, A, E, C) draw, cut to the rig's in-FoV token rows
+            views = rng.random((2, 12, 2, 4))[tokens]
             target = (rng.random((8, 8)) < 0.3).astype(float)
             mask = np.ones((8, 8))
             mask[0, int(rng.integers(0, 8))] = 0.0
@@ -387,7 +390,8 @@ class TestCriterion7:
         assert 0 < mask.sum() < mask.size
         model = ToyBevt(SMALL, init_params(SMALL, seed=5))
         rng = np.random.default_rng(9)
-        views = rng.random((1, 12, 2, 4))
+        # a full (L, A, E, C) draw, cut to the rig's in-FoV token rows
+        views = rng.random((1, 12, 2, 4))[in_fov_bins(rig.cameras[0], 12)[None]]
         target = (rng.random((8, 8)) < 0.3).astype(float)
         logits, acts = model.forward_batch([views], rig)
         model.backward(acts, ad.bce_with_logits_backward(logits, target[None],

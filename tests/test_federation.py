@@ -103,6 +103,36 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([], np.zeros(3), np.arange(3, dtype=np.int64))
 
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), n=st.integers(1, 20),
+           n_clients=st.integers(1, 5))
+    def test_any_order_gives_the_same_bits_and_private_stays(self, data, n,
+                                                             n_clients):
+        # deltas may address any index, private ones included; the result
+        # ignores arrival order and keeps every private value as it was
+        finite = st.floats(-1e3, 1e3)
+        base = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+        public = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                             max_size=n)))
+        ids = data.draw(st.lists(st.integers(0, 99), min_size=n_clients,
+                                 max_size=n_clients, unique=True))
+        entries = []
+        for cid in ids:
+            idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))),
+                           dtype=np.int64)
+            vals = np.array(data.draw(st.lists(finite, min_size=idx.size,
+                                               max_size=idx.size)))
+            weight = data.draw(st.floats(0.01, 100.0))
+            entries.append((cid, Delta(idx, vals, False, 0), weight))
+        public_idx = np.flatnonzero(public)
+        out = aggregate(entries, base, public_idx)
+        shuffled = data.draw(st.permutations(entries))
+        np.testing.assert_array_equal(
+            aggregate(shuffled, base, public_idx).view(np.int64),
+            out.view(np.int64))
+        np.testing.assert_array_equal(out[~public], base[~public])
+
 
 class TestCompressTopk:
     def test_top2_by_magnitude(self):

@@ -1,14 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from camfed import autodiff as ad
 from camfed.model import (SEGMENT_NAMES, ModelConfig, ToyBevt, _plan,
-                          _rig_geometry, camera_ray_directions, init_params,
-                          pose_rotation, private_segments, ray_features,
-                          split_params)
-from camfed.world import CameraPose, CameraRig, rig_from_preset
+                          init_params, private_segments, split_params)
+from camfed.world import in_fov_bins, rig_from_preset, rig_tokens
 
 SMALL = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2, encoder_hidden=8,
                     decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2,
@@ -22,11 +18,19 @@ def small_rig(n_cams=2):
                            n_elevation_bins=SMALL.n_elevation_bins)
 
 
+def random_views(rng, rig):
+    """Random views of `rig`: one full (L, A, E, C) grid drawn, and the
+    in-FoV rows, its tokens, kept."""
+    full = rng.random((len(rig), SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
+                       SMALL.n_view_channels))
+    return full[np.stack([in_fov_bins(c, SMALL.n_azimuth_bins)
+                          for c in rig.cameras])]
+
+
 def small_sample(seed=0, n_cams=2):
     rig = small_rig(n_cams)
     rng = np.random.default_rng(seed)
-    views = rng.random((n_cams, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
-                        SMALL.n_view_channels))
+    views = random_views(rng, rig)
     target = (rng.random(SMALL.bev_grid) < 0.3).astype(float)
     return rig, views, target
 
@@ -108,57 +112,6 @@ class TestPartition:
             private_segments("fancy")
 
 
-class TestGeometry:
-    def test_identity_pose_rays_unchanged(self):
-        pose = CameraPose(height=2.0, roll=0.0, pitch=0.0, yaw=0.0)
-        rig = CameraRig(cameras=(pose,), name="custom")
-        feats = ray_features(rig, 8)
-        assert feats.shape == (8, 3)
-        np.testing.assert_allclose(feats, camera_ray_directions(8),
-                                   atol=1e-15)
-
-    def test_yaw_180_negates_xy(self):
-        rig = CameraRig(cameras=(CameraPose(height=1.0, yaw=180.0),),
-                        name="custom")
-        feats = ray_features(rig, 8)
-        base = camera_ray_directions(8)
-        np.testing.assert_allclose(feats[:, 0], -base[:, 0], atol=1e-12)
-        np.testing.assert_allclose(feats[:, 1], -base[:, 1], atol=1e-12)
-
-    def test_rotation_matches_composition_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            roll, pitch, yaw = rng.uniform(-180, 180, 3)
-            r, p, y = map(math.radians, (roll, pitch, yaw))
-            rx = np.array([[1, 0, 0],
-                           [0, math.cos(r), -math.sin(r)],
-                           [0, math.sin(r), math.cos(r)]])
-            ry = np.array([[math.cos(p), 0, math.sin(p)],
-                           [0, 1, 0],
-                           [-math.sin(p), 0, math.cos(p)]])
-            rz = np.array([[math.cos(y), -math.sin(y), 0],
-                           [math.sin(y), math.cos(y), 0],
-                           [0, 0, 1]])
-            expected = rz @ ry @ rx
-            np.testing.assert_allclose(pose_rotation(roll, pitch, yaw),
-                                       expected, atol=1e-12)
-
-    def test_ray_set_invariant_under_bin_multiple_yaw_shift(self):
-        # rotating every yaw by a whole number of bin widths permutes the
-        # full-circle ray set exactly
-        n_bins = 12
-        delta = 360.0 / n_bins * 2
-        rig_a = CameraRig(cameras=(CameraPose(height=1.5, yaw=10.0),),
-                          name="custom")
-        rig_b = CameraRig(cameras=(CameraPose(height=1.5, yaw=10.0 + delta),),
-                          name="custom")
-        rays_a = ray_features(rig_a, n_bins)
-        rays_b = ray_features(rig_b, n_bins)
-        order = lambda r: np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
-        np.testing.assert_allclose(rays_a[order(rays_a)], rays_b[order(rays_b)],
-                                   atol=1e-12)
-
-
 class TestForward:
     def test_logits_shape(self):
         rig, views, _ = small_sample()
@@ -180,8 +133,21 @@ class TestForward:
                           n_azimuth_bins=12, n_elevation_bins=2)
         rig, views, _ = small_sample()
         model = ToyBevt(cfg, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 cameras"):
             model.forward(views, rig)
+
+    def test_views_not_shaped_as_the_rig_tokens_are_rejected(self):
+        model = ToyBevt(SMALL, seed=0)
+        rig, views, _ = small_sample(n_cams=2)
+        n_tok = len(rig_tokens(rig).camera)
+        full = np.zeros((2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
+                         SMALL.n_view_channels))
+        for bad in (full, small_sample(n_cams=3)[1]):
+            with pytest.raises(ValueError) as err:
+                model.forward_batch([views, bad], rig)
+            assert str(bad.shape) in str(err.value)
+            assert str((n_tok, SMALL.n_elevation_bins,
+                        SMALL.n_view_channels)) in str(err.value)
 
     def test_identical_tokens_give_constant_logits(self):
         # permutation symmetry: with the positional branch and the cell
@@ -198,7 +164,7 @@ class TestForward:
                                                        SMALL.feat_dim)
         q[:] = q[0]
         rig = small_rig()
-        views = np.zeros((2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
+        views = np.zeros((len(rig_tokens(rig).camera), SMALL.n_elevation_bins,
                           SMALL.n_view_channels))
         logits = model.forward(views, rig)
         assert np.allclose(logits, logits.flat[0], atol=1e-12)
@@ -240,8 +206,7 @@ class TestForward:
     def test_masked_batch_query_rows_get_zero_grad(self):
         rig = small_rig()
         rng = np.random.default_rng(12)
-        views = [rng.random((2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
-                             SMALL.n_view_channels)) for _ in range(3)]
+        views = [random_views(rng, rig) for _ in range(3)]
         targets = (rng.random((3, *SMALL.bev_grid)) < 0.3).astype(float)
         mask = (rng.random(SMALL.bev_grid) < 0.5).astype(float)
         model = ToyBevt(SMALL, seed=13)
@@ -322,8 +287,7 @@ class TestBackward:
         # sum their gradient over the batch
         rig = small_rig(3)
         rng = np.random.default_rng(SEGMENT_NAMES.index(segment))
-        views = [rng.random((3, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
-                             SMALL.n_view_channels)) for _ in range(3)]
+        views = [random_views(rng, rig) for _ in range(3)]
         targets = (rng.random((3, *SMALL.bev_grid)) < 0.3).astype(float)
         mask = (rng.random(SMALL.bev_grid) < 0.8).astype(float)
         model = ToyBevt(SMALL, seed=30)
@@ -383,13 +347,3 @@ class TestBackward:
         assert other._offsets is not a._offsets
         with pytest.raises(ValueError, match="layout"):
             ToyBevt(SMALL, init_params(other.config, seed=0))
-
-    def test_rig_geometry_is_shared_by_key_and_read_only(self):
-        rays, active = _rig_geometry(small_rig(2), SMALL.n_azimuth_bins)
-        again = _rig_geometry(small_rig(2), SMALL.n_azimuth_bins)
-        assert again[0] is rays and again[1] is active
-        assert not rays.flags.writeable and not active.flags.writeable
-        assert rays.shape == (int(active.sum()), 3)
-        full, _ = _rig_geometry(small_rig(2), 24)
-        assert full is not rays
-

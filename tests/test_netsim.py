@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camfed.netsim import CommLedger, StragglerPlan, sample_stragglers
 from camfed.seeding import derive_rng
@@ -37,6 +41,21 @@ class TestSampleStragglers:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             sample_stragglers([0], 1.0, np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(selected=st.lists(st.integers(-50, 500), unique=True, max_size=60),
+           ratio=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2**32))
+    def test_survivors_are_a_sorted_subset_of_the_kept_size(self, selected,
+                                                            ratio, seed):
+        survivors = sample_stragglers(selected, ratio,
+                                      np.random.default_rng(seed))
+        n = len(selected)
+        assert survivors == sorted(survivors)
+        assert len(set(survivors)) == len(survivors)
+        assert set(survivors) <= set(selected)
+        assert len(survivors) == n - math.floor(ratio * n)
 
 
 class TestStragglerPlan:
@@ -98,6 +117,26 @@ class TestCommLedger:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             CommLedger().account(1, 0, -1, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(counts=st.lists(st.tuples(st.integers(0, 2**40),
+                                     st.integers(0, 2**40)), max_size=40),
+           bad=st.tuples(st.integers(-2**40, 2**40),
+                         st.integers(-2**40, 2**40)).filter(
+                             lambda c: min(c) < 0))
+    def test_totals_are_the_sums_and_negatives_change_nothing(self, counts,
+                                                              bad):
+        ledger = CommLedger()
+        for i, (up, down) in enumerate(counts):
+            ledger.account(i, i % 7, up, down)
+        ups = sum(up for up, _ in counts)
+        downs = sum(down for _, down in counts)
+        assert (ledger.total_up, ledger.total_down) == (ups, downs)
+        assert ledger.total == ups + downs
+        with pytest.raises(ValueError):
+            ledger.account(len(counts), 0, *bad)
+        assert (ledger.total_up, ledger.total_down) == (ups, downs)
 
     def test_budget_check(self):
         ledger = CommLedger()

@@ -28,10 +28,11 @@ class TestParamStore:
         assert stop == store.n == _plan(cfg).n
         assert store.values.shape == store.grads.shape == (stop,)
 
-    def test_clone_is_independent(self, store):
-        c = store.clone()
+    def test_values_are_copied(self, store):
+        c = ParamStore(store.n, store.values)
         c.values[0] = -1.0
         assert store.values[0] == 1.0
+        assert not c.grads.any()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -6,18 +6,20 @@ import pytest
 from camfed import world
 from camfed.world import (CameraPose, CameraRig, Scene, azimuth_bin_angles,
                           build_client_dataset, elevation_bin, in_fov_bins,
-                          rasterize_bev, ray_hit, render_views,
-                          rig_from_preset, sample_scene, wrap_angle)
+                          pose_rotation, rasterize_bev, ray_hit, render_views,
+                          rig_from_preset, rig_tokens, sample_scene,
+                          wrap_angle)
 
 
 def per_ray_views(scene, rig):
-    """render_views one ray and one disc at a time, in scalar arithmetic."""
-    first = rig.cameras[0]
-    views = np.zeros((len(rig), first.n_azimuth_bins, first.n_elevation_bins,
-                      4))
+    """render_views one ray and one disc at a time, in scalar arithmetic:
+    the full (L, A, E, C) grid, gathered by in-FoV bins."""
+    n_a = rig.n_azimuth_bins
+    views = np.zeros((len(rig), n_a, rig.n_elevation_bins, 4))
+    active = np.stack([in_fov_bins(cam, n_a) for cam in rig.cameras])
+    phis = azimuth_bin_angles(n_a)
     for ci, cam in enumerate(rig.cameras):
-        phis = azimuth_bin_angles(cam.n_azimuth_bins)
-        for bi in np.flatnonzero(in_fov_bins(cam, cam.n_azimuth_bins)):
+        for bi in np.flatnonzero(active[ci]):
             bearing = float(wrap_angle(cam.yaw + phis[bi]))
             ux = math.cos(math.radians(bearing))
             uy = math.sin(math.radians(bearing))
@@ -37,11 +39,11 @@ def per_ray_views(scene, rig):
             if not math.isfinite(d):
                 continue
             elev_world = math.degrees(math.atan2(-cam.height, d))
-            eb = elevation_bin(elev_world - cam.pitch, cam.n_elevation_bins)
+            eb = elevation_bin(elev_world - cam.pitch, rig.n_elevation_bins)
             views[ci, bi, eb] = (1.0, 1.0 / (1.0 + d),
                                  math.radians(elev_world) / (math.pi / 2.0),
                                  min(radius / d, 1.0) if d > 0 else 1.0)
-    return views
+    return views[active]
 
 
 class TestRigPresets:
@@ -77,6 +79,16 @@ class TestRigPresets:
         with pytest.raises(ValueError):
             CameraPose(height=1.0, fov_azimuth=400.0)
 
+    def test_the_rig_owns_one_bin_grid(self):
+        rig = rig_from_preset("bus", n_azimuth_bins=12, n_elevation_bins=2)
+        assert (rig.n_azimuth_bins, rig.n_elevation_bins) == (12, 2)
+        # a camera cannot carry bin counts of its own, so none can disagree
+        with pytest.raises(TypeError):
+            CameraPose(2.0, n_azimuth_bins=48)
+        for bins in ({"n_azimuth_bins": 0}, {"n_elevation_bins": 0}):
+            with pytest.raises(ValueError, match="bin counts"):
+                CameraRig((CameraPose(2.0),), **bins)
+
 
 class TestSampleScene:
     def test_deterministic(self):
@@ -100,7 +112,8 @@ class TestRenderViews:
     def test_empty_scene_all_zero(self):
         rig = rig_from_preset("car")
         views = render_views(Scene(objects=(), extent=16.0), rig)
-        assert views.shape == (4, 24, 4, 4)
+        # 24 bins 15 degrees apart: six per 100-degree camera are tokens
+        assert views.shape == (4 * 6, 4, 4)
         assert np.all(views == 0.0)
 
     def test_single_object_car_vs_bus(self):
@@ -108,21 +121,23 @@ class TestRenderViews:
         # differs because the mounting heights differ
         d_center = 6.0
         scene = Scene(objects=((d_center, 0.0, 1.0),), extent=16.0)
-        car = render_views(scene, rig_from_preset("car", camera_ids=[1]))
+        car_rig = rig_from_preset("car", camera_ids=[1])
+        car = render_views(scene, car_rig)
         bus = render_views(scene, rig_from_preset("bus", camera_ids=[1]))
         # closed-form oracle for the two forward-most bins (phi = +-2.5 deg
         # falls outside bin centers for A=24; nearest hits are +-7.5 deg)
-        assert np.array_equal(car[..., 0].sum(axis=2), bus[..., 0].sum(axis=2))
-        assert np.array_equal(car[..., 1].sum(axis=2), bus[..., 1].sum(axis=2))
-        hit = car[0, :, :, 0].sum(axis=1) > 0
+        assert np.array_equal(car[..., 0].sum(axis=1), bus[..., 0].sum(axis=1))
+        assert np.array_equal(car[..., 1].sum(axis=1), bus[..., 1].sum(axis=1))
+        hit = car[:, :, 0].sum(axis=1) > 0
         assert hit.any()
         # elevation channel: atan2(-h, d)/ (pi/2), independent of pitch
-        for bi in np.nonzero(hit)[0]:
-            phi = math.radians(azimuth_bin_angles(24)[bi])
+        bins = np.flatnonzero(in_fov_bins(car_rig.cameras[0], 24))
+        for ti in np.nonzero(hit)[0]:
+            phi = math.radians(azimuth_bin_angles(24)[bins[ti]])
             d, _ = ray_hit(scene, math.degrees(phi))
             for h_cam, v in ((1.8, car), (3.2, bus)):
                 expected = math.atan2(-h_cam, d) / (math.pi / 2.0)
-                got = v[0, bi, :, 2]
+                got = v[ti, :, 2]
                 assert got[got != 0][0] == pytest.approx(expected, abs=1e-12)
         diff = np.abs(car[..., 2] - bus[..., 2]).sum()
         assert diff > 0.0
@@ -147,11 +162,11 @@ class TestRenderViews:
         rigs = [rig_from_preset("car"), rig_from_preset("truck", [2, 4]),
                 rig_from_preset("bus", n_azimuth_bins=12, n_elevation_bins=2),
                 CameraRig(cameras=(CameraPose(height=2.0, pitch=3.0, yaw=37.0,
-                                              fov_azimuth=360.0,
-                                              n_azimuth_bins=7),)),
+                                              fov_azimuth=360.0),),
+                          n_azimuth_bins=7),
                 CameraRig(cameras=(CameraPose(height=2.0, yaw=45.0,
-                                              fov_azimuth=360.0,
-                                              n_azimuth_bins=4),))]
+                                              fov_azimuth=360.0),),
+                          n_azimuth_bins=4)]
         # two discs entered at exactly 4.0 along bearing 0 (the first one's
         # radius is written), the ego inside a disc, and an empty scene, then
         # random scenes of big discs
@@ -167,17 +182,6 @@ class TestRenderViews:
             for scene in scenes:
                 np.testing.assert_array_equal(render_views(scene, rig),
                                               per_ray_views(scene, rig))
-
-    def test_fov_consistency(self):
-        # nonzero bins only where the ray lies inside the wedge
-        rig = CameraRig(cameras=(CameraPose(height=2.0, yaw=30.0,
-                                            fov_azimuth=90.0),), name="custom")
-        rng = np.random.default_rng(3)
-        scene = sample_scene(rng, n_objects=(5, 5))
-        views = render_views(scene, rig)
-        phis = azimuth_bin_angles(24)
-        outside = np.abs(phis) > 45.0
-        assert np.all(views[0, outside] == 0.0)
 
     def test_in_fov_bins_closed_edge(self):
         # 24 bins have centers at +-7.5, +-22.5, +-37.5, ...; a 75 degree
@@ -195,6 +199,105 @@ class TestRenderViews:
         truck = render_views(scene, rig_from_preset("truck"))
         assert car[..., 0].sum() > 0
         assert np.abs(car[..., 2] - truck[..., 2]).mean() > 0.0
+
+
+class TestRigTokens:
+    def test_rows_are_the_in_fov_bins_in_camera_then_bin_order(self):
+        rig = CameraRig(cameras=(CameraPose(height=2.0, yaw=30.0,
+                                            fov_azimuth=90.0),
+                                 CameraPose(height=2.0, yaw=-120.0,
+                                            fov_azimuth=200.0),
+                                 CameraPose(height=2.0, fov_azimuth=75.0)),
+                        n_elevation_bins=3)
+        tokens = rig_tokens(rig)
+        phis = azimuth_bin_angles(24)
+        expected = [(ci, bi) for ci, cam in enumerate(rig.cameras)
+                    for bi in range(24)
+                    if abs(phis[bi]) <= cam.fov_azimuth / 2.0]
+        assert tokens.camera.tolist() == [ci for ci, _ in expected]
+        bearings = np.radians([rig.cameras[ci].yaw + phis[bi]
+                               for ci, bi in expected])
+        np.testing.assert_allclose(tokens.ux, np.cos(bearings), atol=1e-12)
+        np.testing.assert_allclose(tokens.uy, np.sin(bearings), atol=1e-12)
+        assert tokens.rays.shape == (len(expected), 3)
+        scene = sample_scene(np.random.default_rng(3), n_objects=(5, 5))
+        assert render_views(scene, rig).shape == (len(expected), 3, 4)
+
+    def test_identity_pose_rays_unchanged(self):
+        rig = CameraRig(cameras=(CameraPose(height=2.0, fov_azimuth=360.0),),
+                        n_azimuth_bins=8)
+        rays = rig_tokens(rig).rays
+        phis = np.radians(azimuth_bin_angles(8))
+        assert rays.shape == (8, 3)
+        np.testing.assert_allclose(
+            rays, np.stack([np.cos(phis), np.sin(phis), np.zeros(8)], axis=1),
+            atol=1e-15)
+
+    def test_yaw_180_negates_xy(self):
+        def rays(yaw):
+            return rig_tokens(CameraRig(
+                cameras=(CameraPose(height=1.0, yaw=yaw, fov_azimuth=360.0),),
+                n_azimuth_bins=8)).rays
+        np.testing.assert_allclose(rays(180.0)[:, :2], -rays(0.0)[:, :2],
+                                   atol=1e-12)
+
+    def test_rotation_matches_composition_oracle(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            roll, pitch, yaw = rng.uniform(-180, 180, 3)
+            r, p, y = map(math.radians, (roll, pitch, yaw))
+            rx = np.array([[1, 0, 0],
+                           [0, math.cos(r), -math.sin(r)],
+                           [0, math.sin(r), math.cos(r)]])
+            ry = np.array([[math.cos(p), 0, math.sin(p)],
+                           [0, 1, 0],
+                           [-math.sin(p), 0, math.cos(p)]])
+            rz = np.array([[math.cos(y), -math.sin(y), 0],
+                           [math.sin(y), math.cos(y), 0],
+                           [0, 0, 1]])
+            expected = rz @ ry @ rx
+            np.testing.assert_allclose(pose_rotation(roll, pitch, yaw),
+                                       expected, atol=1e-12)
+
+    def test_rays_are_the_rotated_camera_directions(self):
+        rig = CameraRig(cameras=(CameraPose(height=1.5, roll=4.0, pitch=-7.0,
+                                            yaw=100.0),), n_azimuth_bins=12)
+        tokens = rig_tokens(rig)
+        cam = rig.cameras[0]
+        phis = np.radians(azimuth_bin_angles(12)[in_fov_bins(cam, 12)])
+        dirs = np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)],
+                        axis=1)
+        np.testing.assert_allclose(
+            tokens.rays, dirs @ pose_rotation(cam.roll, cam.pitch, cam.yaw).T,
+            atol=1e-15)
+
+    def test_ray_set_invariant_under_bin_multiple_yaw_shift(self):
+        # rotating every yaw by a whole number of bin widths permutes the
+        # full-circle ray set exactly
+        n_bins = 12
+        delta = 360.0 / n_bins * 2
+
+        def rays(yaw):
+            return rig_tokens(CameraRig(
+                cameras=(CameraPose(height=1.5, yaw=yaw, fov_azimuth=360.0),),
+                n_azimuth_bins=n_bins)).rays
+        rays_a, rays_b = rays(10.0), rays(10.0 + delta)
+        order = lambda r: np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
+        np.testing.assert_allclose(rays_a[order(rays_a)], rays_b[order(rays_b)],
+                                   atol=1e-12)
+
+    def test_shared_by_key_and_read_only(self):
+        tokens = rig_tokens(rig_from_preset("car", [1, 2], n_azimuth_bins=12))
+        assert rig_tokens(rig_from_preset("car", [1, 2],
+                                          n_azimuth_bins=12)) is tokens
+        assert not any(a.flags.writeable for a in tokens)
+        assert rig_tokens(rig_from_preset("car", [1, 2])) is not tokens
+
+    def test_a_rig_without_tokens_is_rejected(self):
+        # 24 bins put the nearest centers at +-7.5 degrees
+        rig = CameraRig((CameraPose(height=2.0, fov_azimuth=10.0),))
+        with pytest.raises(ValueError, match="no azimuth bin"):
+            rig_tokens(rig)
 
 
 class TestRasterizeBev:
@@ -258,9 +361,7 @@ class TestYawEquivariance:
         rig = rig_from_preset("car")
         shifted = CameraRig(cameras=tuple(
             CameraPose(height=c.height, roll=c.roll, pitch=c.pitch,
-                       yaw=c.yaw + delta, fov_azimuth=c.fov_azimuth,
-                       n_azimuth_bins=c.n_azimuth_bins,
-                       n_elevation_bins=c.n_elevation_bins)
+                       yaw=c.yaw + delta, fov_azimuth=c.fov_azimuth)
             for c in rig.cameras), name="car")
         v1 = render_views(scene, rig)
         v2 = render_views(rotated, shifted)
