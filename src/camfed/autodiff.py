@@ -39,8 +39,18 @@ def affine_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
     """Write dL/dw into `gw` and dL/db into `gb`; return dL/dx, or None
     when `dx` is false (an input that is data, not an activation)."""
     np.matmul(x.T, g, out=gw)
-    np.add.reduce(g, axis=0, out=gb)
-    return g @ w.T if dx else None
+    # For a C-ordered g of two or more columns, einsum and add.reduce both
+    # add each column's rows one after another, bit for bit, and einsum is
+    # faster. For one column, or a column-major g, add.reduce sums pairwise.
+    if g.shape[1] > 1 and g.flags.c_contiguous:
+        np.einsum("ij->j", g, out=gb)
+    else:
+        np.add.reduce(g, axis=0, out=gb)
+    if not dx:
+        return None
+    # with one output the gemm has one term per entry: the broadcast
+    # product gives the same bits, faster
+    return g * w.T if w.shape[1] == 1 else g @ w.T
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

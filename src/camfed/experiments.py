@@ -25,7 +25,8 @@ from .metrics import CrossEvalMatrix, cross_evaluate, rounds_to_target
 from .model import (ModelConfig, check_field_types, check_keys,
                     private_segments, split_params)
 from .seeding import derive_seed
-from .world import N_VIEW_CHANNELS, build_client_dataset, rig_from_preset
+from .world import (N_VIEW_CHANNELS, build_client_dataset, rig_from_preset,
+                    rig_tokens)
 
 CSV_HEADER = ("round,client_id,selected,straggler,train_loss,val_iou,"
               "bits_up,bits_down,cum_bits")
@@ -87,7 +88,11 @@ class ExperimentConfig:
                 raise ValueError(f"client {idx}: cameras must be a list of "
                                  f"ints, got {spec.cameras!r}")
             try:
-                rig = rig_from_preset(spec.rig, camera_ids=spec.cameras)
+                rig = rig_from_preset(
+                    spec.rig, camera_ids=spec.cameras,
+                    n_azimuth_bins=self.model.n_azimuth_bins,
+                    n_elevation_bins=self.model.n_elevation_bins)
+                rig_tokens(rig)
             except ValueError as err:
                 raise ValueError(f"client {idx}: {err}") from None
             if len(rig) > self.model.max_cameras:
@@ -285,7 +290,17 @@ def summarize(engine: FederationEngine) -> dict:
 
 
 def cross_eval_matrix(engine: FederationEngine) -> CrossEvalMatrix:
-    return cross_evaluate(engine.personalized_models(), engine.clients)
+    """`engine`'s cross-evaluation matrix at its current parameters.
+
+    Each client's own-model score is the `val_iou` that the records of
+    `engine.round` hold, taken on these same parameters, as they are right
+    after a run; an engine without them, such as one `load_checkpoint`
+    returned, scores its clients with `evaluate_clients()`.
+    """
+    own = {r.client_id: r.val_iou for r in engine.records
+           if r.round == engine.round}
+    return cross_evaluate(engine.personalized_models(), engine.clients,
+                          own or engine.evaluate_clients())
 
 
 def _check_workers(workers: int) -> None:

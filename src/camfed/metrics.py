@@ -89,15 +89,19 @@ class CrossEvalMatrix:
                 fh.write(",".join(row) + "\n")
 
 
-def cross_evaluate(models, clients: list) -> CrossEvalMatrix:
+def cross_evaluate(models, clients: list, own: dict) -> CrossEvalMatrix:
     """Evaluate each client's personalized model on every client's testset.
 
     `models` yields (owners, model) pairs, as
     `FederationEngine.personalized_models()` does, and every client owns
-    exactly one model. Entry (i, j) scores client j's model with testset
-    i's rig geometry and mask: a model visiting a foreign rig keeps its own
-    personalization, which is exactly the mismatch being measured. Each
-    model's column is computed once and written for every owner.
+    exactly one model. `own` maps each client id to its own model's mean
+    IoU on its own testset, as `FederationEngine.evaluate_clients()` returns
+    it. Entry (i, j) scores client j's model with testset i's rig geometry
+    and mask: a model visiting a foreign rig keeps its own personalization,
+    which is exactly the mismatch being measured. Each model's column is
+    filled once and written for every owner: the owners' rows come from
+    `own`, and `mean_ious` runs only on the other clients' testsets, so
+    under fedavg, where every client owns the one model, no forward runs.
     """
     if not clients:
         raise ValueError("cross_evaluate needs at least one client")
@@ -107,7 +111,11 @@ def cross_evaluate(models, clients: list) -> CrossEvalMatrix:
     values = np.zeros((len(clients), len(clients)))
     for owners, model in models:
         owned = [column[c.client_id] for c in owners]
-        values[:, owned] = np.asarray(mean_ious(model, clients))[:, None]
+        col = np.empty(len(clients))
+        col[owned] = [own[c.client_id] for c in owners]
+        others = sorted(set(range(len(clients))).difference(owned))
+        col[others] = mean_ious(model, [clients[i] for i in others])
+        values[:, owned] = col[:, None]
     return CrossEvalMatrix(client_ids=[c.client_id for c in clients],
                            values=values)
 

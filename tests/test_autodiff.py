@@ -269,6 +269,27 @@ class TestElementwiseOps:
         np.testing.assert_array_equal(gx, g @ w.T)
         assert ad.affine_backward(g, x, w, gw, gb, dx=False) is None
 
+    @pytest.mark.parametrize("shape", [(1024, 16), (1024, 32), (96, 16),
+                                       (6, 16), (6, 2), (1, 16), (1024, 1),
+                                       (5, 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_affine_backward_fast_paths_equal_reference_bitwise(self, shape,
+                                                                order):
+        # each fast path (the bias sum, the one-output input gradient) is
+        # bit for bit add.reduce and the gemm, over magnitudes 1e-13..1e13
+        rng = np.random.default_rng(31)
+        n, n_out = shape
+        for _ in range(10):
+            g = np.asarray(rng.standard_normal(shape)
+                           * np.exp(rng.uniform(-30.0, 30.0, shape)),
+                           order=order)
+            x = rng.standard_normal((n, 3))
+            w = rng.standard_normal((3, n_out)) * 1e3
+            gw, gb = np.empty((3, n_out)), np.empty(n_out)
+            gx = ad.affine_backward(g, x, w, gw, gb)
+            assert gb.tobytes() == np.add.reduce(g, axis=0).tobytes()
+            assert gx.tobytes() == np.ascontiguousarray(g @ w.T).tobytes()
+
     @pytest.mark.parametrize("shape", [(1024, 16), (5, 3)])
     def test_layer_norm_gradient_equals_mean_formula_exactly(self, shape):
         rng = np.random.default_rng(14)

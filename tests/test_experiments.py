@@ -508,9 +508,12 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "xe" / "cross_eval.csv").exists()
 
-    def test_cross_eval_matches_run_artifact(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["fedavg", "fedcap"])
+    def test_cross_eval_matches_run_artifact(self, scheme, tmp_path):
+        # the run fills the own-model scores from its last round's records,
+        # the checkpoint's engine from evaluate_clients(): same bytes
         out = tmp_path / "run"
-        run_experiment(tiny_config(), out)
+        run_experiment(tiny_config(scheme=scheme), out)
         cli_main(["cross-eval", "--checkpoint", str(out / "checkpoint.bin"),
                   "--out", str(tmp_path / "xe")])
         assert (tmp_path / "xe" / "cross_eval.csv").read_bytes() == \
@@ -575,6 +578,24 @@ class TestCli:
         code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == 1
         assert key in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
+    def test_bin_count_without_tokens_exits_1_without_artifacts(
+            self, tmp_path, capsys, monkeypatch):
+        # 2 azimuth bins centre at +-90 degrees, outside every 100-degree FoV
+        built = []
+        monkeypatch.setattr(experiments, "build_client_dataset",
+                            lambda *a, **k: built.append(a))
+        doc = tiny_config().to_dict()
+        doc["model"]["n_azimuth_bins"] = 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: client 0: no azimuth bin falls inside any "
+                       "camera FoV\n")
         assert built == [] and not out.exists()
 
     @pytest.mark.parametrize("scale", ["0", "-1"])

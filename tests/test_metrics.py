@@ -258,12 +258,12 @@ class TestRoundsToTarget:
 
 class TestCrossEvaluate:
     @staticmethod
-    def tiny_engine(seeds, rounds=2, scheme="fedcap"):
+    def tiny_engine(seeds, rounds=2, scheme="fedcap", n_points=6):
         cfg = ModelConfig(feat_dim=8, bev_grid=(8, 8), n_heads=2,
                           encoder_hidden=8, decoder_hidden=8,
                           n_azimuth_bins=12, n_elevation_bins=2)
         eng = build_engine(ExperimentConfig(
-            clients=[ClientSpec("car", 6, seed=s) for s in seeds],
+            clients=[ClientSpec("car", n_points, seed=s) for s in seeds],
             scheme=scheme, rounds=rounds, seed=2, warmup_rounds=0,
             lr_u=1e-2, lr_v=1e-2, model=cfg))
         eng.run()
@@ -313,9 +313,43 @@ class TestCrossEvaluate:
 
     def test_takes_engine_clients(self):
         eng = self.tiny_engine([5, 6])
-        m = cross_evaluate(eng.personalized_models(), eng.clients)
+        own = eng.evaluate_clients()
+        m = cross_evaluate(eng.personalized_models(), eng.clients, own)
         assert m.client_ids == [0, 1]
-        assert m.values[1, 1] == eng.evaluate_clients()[1]
+        assert m.values[1, 1] == own[1]
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        """Record the number of views of every forward_batch call."""
+        sizes = []
+        forward = ToyBevt.forward_batch
+
+        def counting(self, views, rig):
+            sizes.append(len(views))
+            return forward(self, views, rig)
+
+        monkeypatch.setattr(ToyBevt, "forward_batch", counting)
+        return sizes
+
+    def test_fedavg_cross_eval_after_a_run_runs_no_forward(self,
+                                                           monkeypatch):
+        eng = self.tiny_engine([5, 6, 7], scheme="fedavg")
+        want = self.per_pair_matrix(eng)
+        sizes = self.count_forwards(monkeypatch)
+        np.testing.assert_array_equal(self.matrix_of(eng).values, want)
+        assert sizes == []
+
+    def test_fedcap_forwards_only_foreign_test_points(self, monkeypatch):
+        # 4 test points per client: each model's two foreign testsets share
+        # one rig and mask, so only their 8 points run, EVAL_CHUNK at a time
+        eng = self.tiny_engine([5, 6, 7], n_points=20)
+        assert [len(c.dataset.test) for c in eng.clients] == [4, 4, 4]
+        own = eng.evaluate_clients()
+        sizes = self.count_forwards(monkeypatch)
+        m = cross_evaluate(eng.personalized_models(), eng.clients, own)
+        assert sum(sizes) == 3 * 8
+        assert len(sizes) == 3 * -(-8 // EVAL_CHUNK)
+        np.testing.assert_array_equal(m.values, self.per_pair_matrix(eng))
 
     @staticmethod
     def per_pair_matrix(engine):
