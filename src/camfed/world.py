@@ -151,18 +151,19 @@ def rig_from_preset(name: str, camera_ids=None, n_azimuth_bins: int = 24,
 def sample_scene(rng: np.random.Generator, n_objects=DEFAULT_N_OBJECTS,
                  extent: float = DEFAULT_EXTENT,
                  radius_range=DEFAULT_RADIUS_RANGE) -> Scene:
-    """Draw a scene with a uniform object count in the inclusive range."""
+    """Draw a scene with a uniform object count in the inclusive range.
+
+    One `integers` call draws the count and one `uniform` call the (x, y,
+    radius) of every object, in the stream order of one scalar draw each.
+    """
     if extent <= 0:
         raise ValueError("extent must be positive")
     lo, hi = n_objects
     n = int(rng.integers(lo, hi + 1))
-    objects = []
-    for _ in range(n):
-        x = float(rng.uniform(-extent, extent))
-        y = float(rng.uniform(-extent, extent))
-        r = float(rng.uniform(radius_range[0], radius_range[1]))
-        objects.append((x, y, r))
-    return Scene(objects=tuple(objects), extent=extent)
+    low = np.array([-extent, -extent, radius_range[0]] * n)
+    high = np.array([extent, extent, radius_range[1]] * n)
+    xyr = rng.uniform(low, high).reshape(n, 3).tolist()
+    return Scene(objects=tuple(map(tuple, xyr)), extent=extent)
 
 
 def azimuth_bin_angles(n_bins: int) -> np.ndarray:
@@ -223,26 +224,51 @@ def rig_tokens(rig: CameraRig) -> RigTokens:
     return table
 
 
-def _nearest_hits(scene: Scene, ux: np.ndarray, uy: np.ndarray):
-    """Entry distance and radius of the nearest disc along each ray (ux, uy).
+def _stack(scenes):
+    """A scene as a stack of one, or the sequence of scenes, and which."""
+    one = isinstance(scenes, Scene)
+    return ([scenes] if one else list(scenes)), one
 
-    All rays meet all discs in one pass. A ray that hits no disc gets
-    (inf, 0.0); distance 0.0 means the ego sits inside a disc; of discs at
-    equal distance the first in `scene.objects` wins.
+
+def _padded_discs(scenes: list):
+    """(x, y, radius) arrays shaped (scenes, discs), padded to the largest
+    disc count (at least one), and which entries are real discs.
+
+    Padding is a zero-radius disc at the ego: no ray enters it (every ray
+    meets it at distance 0 along), but it holds the ego and any cell
+    centred on the ego, so those tests mask it out.
     """
-    if not scene.objects:
-        return np.full(ux.shape, math.inf), np.zeros(ux.shape)
-    ox, oy, r = np.array(scene.objects, dtype=np.float64).T
-    along = ux[:, None] * ox + uy[:, None] * oy        # (rays, discs)
+    counts = [len(s.objects) for s in scenes]
+    n = max(counts + [1])
+    pad = [(0.0, 0.0, 0.0)]
+    discs = np.array([list(s.objects) + pad * (n - k)
+                      for s, k in zip(scenes, counts)],
+                     dtype=np.float64).reshape(len(scenes), n, 3)
+    real = np.arange(n) < np.array(counts, dtype=np.intp)[:, None]
+    return discs[..., 0], discs[..., 1], discs[..., 2], real
+
+
+def _nearest_hits(scenes: list, ux: np.ndarray, uy: np.ndarray):
+    """Entry distance and radius of each scene's nearest disc along each ray
+    (ux, uy), both shaped (scenes, rays).
+
+    All rays meet all discs of all scenes in one pass. A ray that hits no
+    disc gets (inf, 0.0); distance 0.0 means the ego sits inside a disc; of
+    discs at equal distance the first in `scene.objects` wins.
+    """
+    ox, oy, r, real = _padded_discs(scenes)
+    ox, oy = ox[:, None, :], oy[:, None, :]          # (scenes, 1, discs)
+    along = ux[:, None] * ox + uy[:, None] * oy      # (scenes, rays, discs)
     c2 = ox * ox + oy * oy
-    r2 = r * r
+    r2 = (r * r)[:, None, :]
     perp2 = c2 - along * along
     d = along - np.sqrt(np.maximum(r2 - perp2, 0.0))
-    d[(along <= 0.0) | (perp2 > r2)] = math.inf
-    d[:, c2 <= r2] = 0.0                             # ego inside the disc
-    nearest = d.argmin(axis=1)                       # first minimum on ties
-    dist = d[np.arange(len(d)), nearest]
-    return dist, np.where(np.isfinite(dist), r[nearest], 0.0)
+    np.copyto(d, math.inf, where=(along <= 0.0) | (perp2 > r2))
+    np.copyto(d, 0.0, where=(c2 <= r2) & real[:, None, :])  # ego inside
+    nearest = d.argmin(axis=2)                       # first minimum on ties
+    dist = d.min(axis=2)
+    radius = r[np.arange(len(r))[:, None], nearest]
+    return dist, np.where(np.isfinite(dist), radius, 0.0)
 
 
 def ray_hit(scene: Scene, bearing_deg: float):
@@ -253,43 +279,52 @@ def ray_hit(scene: Scene, bearing_deg: float):
     """
     ux = np.array([math.cos(math.radians(bearing_deg))])
     uy = np.array([math.sin(math.radians(bearing_deg))])
-    d, r = _nearest_hits(scene, ux, uy)
-    return float(d[0]), float(r[0])
+    d, r = _nearest_hits([scene], ux, uy)
+    return float(d[0, 0]), float(r[0, 0])
 
 
-def elevation_bin(elev_cam_deg: float, n_bins: int) -> int:
+def elevation_bin(elev_cam_deg, n_bins: int) -> np.ndarray:
+    """Row of each camera-frame elevation (degrees) among `n_bins` equal
+    bins over ELEVATION_RANGE; angles outside it go to the nearest end."""
     lo, hi = ELEVATION_RANGE
-    frac = (elev_cam_deg - lo) / (hi - lo)
-    return min(max(math.floor(frac * n_bins), 0), n_bins - 1)
+    frac = (np.asarray(elev_cam_deg, dtype=np.float64) - lo) / (hi - lo)
+    return np.clip(np.floor(frac * n_bins), 0, n_bins - 1).astype(np.intp)
 
 
 N_VIEW_CHANNELS = 4
 
 
-def render_views(scene: Scene, rig: CameraRig) -> np.ndarray:
-    """Ray-cast the scene into an (n_tokens, E, N_VIEW_CHANNELS) feature
-    grid, one row per `rig_tokens` row.
+def render_views(scenes, rig: CameraRig) -> np.ndarray:
+    """Ray-cast a scene into an (n_tokens, E, N_VIEW_CHANNELS) feature
+    grid, one row per `rig_tokens` row; a sequence of scenes gets one grid
+    per scene, stacked on a leading axis (a scene is a stack of one).
 
     The elevation channel stores atan2(-height, d) / (pi/2); the elevation
     bin is chosen from the camera-frame angle atan2(-height, d) - pitch, so
-    both mounting height and pitch reshape the features.
+    both mounting height and pitch reshape the features. `math.atan2` is
+    taken per hit because numpy's `arctan2` differs from it in the last bit
+    of some values; the rest is the same float64 arithmetic in arrays.
     """
+    stack, one = _stack(scenes)
     tokens = rig_tokens(rig)
-    views = np.zeros((len(tokens.camera), rig.n_elevation_bins,
+    views = np.zeros((len(stack), len(tokens.camera), rig.n_elevation_bins,
                       N_VIEW_CHANNELS), dtype=np.float64)
-    dists, radii = _nearest_hits(scene, tokens.ux, tokens.uy)
-    hit = np.flatnonzero(np.isfinite(dists))
-    for ti, ci, d, radius in zip(hit.tolist(), tokens.camera[hit].tolist(),
-                                 dists[hit].tolist(), radii[hit].tolist()):
-        cam = rig.cameras[ci]
-        elev_world = math.degrees(math.atan2(-cam.height, d))
-        elev_cam = elev_world - cam.pitch
-        eb = elevation_bin(elev_cam, rig.n_elevation_bins)
-        views[ti, eb, 0] = 1.0
-        views[ti, eb, 1] = 1.0 / (1.0 + d)
-        views[ti, eb, 2] = math.radians(elev_world) / (math.pi / 2.0)
-        views[ti, eb, 3] = min(radius / d, 1.0) if d > 0 else 1.0
-    return views
+    dists, radii = _nearest_hits(stack, tokens.ux, tokens.uy)
+    si, ti = np.nonzero(np.isfinite(dists))
+    d, radius = dists[si, ti], radii[si, ti]
+    cams = tokens.camera[ti]
+    heights = np.array([c.height for c in rig.cameras])[cams]
+    pitches = np.array([c.pitch for c in rig.cameras])[cams]
+    elev_world = np.degrees(np.array(
+        list(map(math.atan2, (-heights).tolist(), d.tolist())),
+        dtype=np.float64))
+    eb = elevation_bin(elev_world - pitches, rig.n_elevation_bins)
+    ratio = np.divide(radius, d, out=np.ones_like(d), where=d > 0)
+    views[si, ti, eb] = np.stack(
+        [np.ones_like(d), 1.0 / (1.0 + d),
+         np.radians(elev_world) / (math.pi / 2.0),
+         np.minimum(ratio, 1.0)], axis=1)
+    return views[0] if one else views
 
 
 def cell_centers(grid, extent: float):
@@ -313,27 +348,47 @@ def _grid_centers(grid: tuple, extent: float):
     return centers
 
 
-def rasterize_bev(scene: Scene, grid, extent: float) -> np.ndarray:
-    """Binary occupancy grid: cell = 1 iff its center lies inside any disc."""
+def rasterize_bev(scenes, grid, extent: float) -> np.ndarray:
+    """Binary occupancy grid: cell = 1 iff its center lies inside any disc.
+
+    A sequence of scenes gets one grid per scene, stacked on a leading axis
+    (a scene is a stack of one).
+    """
     if grid[0] < 4 or grid[1] < 4:
         raise ValueError("grid dims must be >= 4")
+    stack, one = _stack(scenes)
     gx, gy = _grid_centers(tuple(grid), extent)
-    out = np.zeros(gx.shape, dtype=np.float64)
-    for ox, oy, r in scene.objects:
-        out[(gx - ox) ** 2 + (gy - oy) ** 2 <= r * r] = 1.0
-    return out
+    ox, oy, r, real = (a[..., None] for a in _padded_discs(stack))
+    # a cell's squared distance is its column's dx^2 plus its row's dy^2:
+    # the same float64 operations as one cell at a time
+    dx2 = (gx[0] - ox) ** 2                        # (scenes, discs, w)
+    dy2 = (gy[:, 0] - oy) ** 2                     # (scenes, discs, h)
+    inside = dy2[..., :, None] + dx2[..., None, :] <= (r * r)[..., None]
+    inside &= real[..., None]
+    out = inside.any(axis=1).astype(np.float64)
+    return out[0] if one else out
+
+
+# scenes per ray cast and raster in `build_client_dataset`: bounds the
+# (scenes, rays, discs) and (scenes, discs, h, w) broadcasts
+_SCENES_PER_BLOCK = 64
 
 
 def build_client_dataset(rig: CameraRig, n_points: int, seed: int,
                          grid=(16, 16),
                          extent: float = DEFAULT_EXTENT) -> ClientDataset:
-    """Generate a deterministic dataset; first 80% of points are the train split."""
+    """Generate a deterministic dataset; first 80% of points are the train split.
+
+    Scenes are drawn one after another from the client's stream, then cast
+    and rasterized in blocks of at most `_SCENES_PER_BLOCK` scenes.
+    """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
+    scenes = [sample_scene(rng, extent=extent) for _ in range(n_points)]
     points = []
-    for _ in range(n_points):
-        scene = sample_scene(rng, extent=extent)
-        points.append(DataPoint(views=render_views(scene, rig),
-                                bev_gt=rasterize_bev(scene, grid, extent)))
+    for start in range(0, n_points, _SCENES_PER_BLOCK):
+        block = scenes[start:start + _SCENES_PER_BLOCK]
+        points += map(DataPoint, render_views(block, rig),
+                      rasterize_bev(block, grid, extent))
     return ClientDataset(points=points, n_train=int(0.8 * n_points))

@@ -324,6 +324,18 @@ class TestRunExperiment:
         engine, report = run_experiment(cfg, tmp_path / "run")
         assert report["rounds_completed"] == 1
 
+    def test_equal_rigs_share_one_read_only_mask(self):
+        clients = [ClientSpec(rig="car", n_points=6, cameras=[1]),
+                   ClientSpec(rig="bus", n_points=5),
+                   ClientSpec(rig="car", n_points=4, cameras=[1])]
+        on = build_engine(tiny_config(clients=clients))
+        car, bus, twin = (c.mask for c in on.clients)
+        assert twin is car and bus is not car
+        assert not any(m.flags.writeable for m in (car, bus))
+        off = build_engine(tiny_config(clients=clients, amcm=False))
+        for c in off.clients:
+            assert np.array_equal(c.mask, np.ones(off.config.model.bev_grid))
+
     def test_amcm_off_gives_all_ones_masks(self):
         # a front-camera-only car masks cells off unless AMCM is disabled
         clients = [ClientSpec(rig="car", n_points=6, cameras=[1]),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from camfed.masking import amcm_mask
 from camfed.world import (CameraPose, CameraRig, cell_centers, rig_from_preset,
@@ -101,3 +102,16 @@ class TestAmcmMask:
             expected = np.abs(wrap_angle(bearing - yaw)) <= 50.0
             np.testing.assert_array_equal(mask == 1.0, expected)
 
+
+
+class TestMaskCache:
+    def test_one_read_only_mask_per_rig_grid_and_extent(self):
+        mask = amcm_mask(rig_from_preset("car", [1]), (16, 16), 16.0)
+        assert amcm_mask(rig_from_preset("car", [1]), [16, 16], 16.0) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = 1.0
+        for other in (amcm_mask(rig_from_preset("car", [1, 2]), (16, 16), 16.0),
+                      amcm_mask(rig_from_preset("car", [1]), (8, 8), 16.0),
+                      amcm_mask(rig_from_preset("car", [1]), (16, 16), 8.0)):
+            assert other is not mask

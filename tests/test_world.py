@@ -5,7 +5,7 @@ import pytest
 
 from camfed import world
 from camfed.world import (CameraPose, CameraRig, Scene, azimuth_bin_angles,
-                          build_client_dataset, elevation_bin, in_fov_bins,
+                          build_client_dataset, in_fov_bins,
                           pose_rotation, rasterize_bev, ray_hit, render_views,
                           rig_from_preset, rig_tokens, sample_scene,
                           wrap_angle)
@@ -39,11 +39,40 @@ def per_ray_views(scene, rig):
             if not math.isfinite(d):
                 continue
             elev_world = math.degrees(math.atan2(-cam.height, d))
-            eb = elevation_bin(elev_world - cam.pitch, rig.n_elevation_bins)
+            lo, hi = world.ELEVATION_RANGE
+            frac = (elev_world - cam.pitch - lo) / (hi - lo)
+            eb = min(max(math.floor(frac * rig.n_elevation_bins), 0),
+                     rig.n_elevation_bins - 1)
             views[ci, bi, eb] = (1.0, 1.0 / (1.0 + d),
                                  math.radians(elev_world) / (math.pi / 2.0),
                                  min(radius / d, 1.0) if d > 0 else 1.0)
     return views[active]
+
+
+def scalar_scene(rng, extent=16.0):
+    """sample_scene at its default ranges with one scalar draw per value."""
+    lo, hi = world.DEFAULT_N_OBJECTS
+    r_lo, r_hi = world.DEFAULT_RADIUS_RANGE
+    objects = []
+    for _ in range(int(rng.integers(lo, hi + 1))):
+        x = float(rng.uniform(-extent, extent))
+        y = float(rng.uniform(-extent, extent))
+        r = float(rng.uniform(r_lo, r_hi))
+        objects.append((x, y, r))
+    return Scene(objects=tuple(objects), extent=extent)
+
+
+def per_cell_raster(scene, grid, extent):
+    """rasterize_bev one cell and one disc at a time."""
+    h, w = grid
+    out = np.zeros(grid)
+    for i in range(h):
+        y = -extent + (i + 0.5) * (2.0 * extent / h)
+        for j in range(w):
+            x = -extent + (j + 0.5) * (2.0 * extent / w)
+            out[i, j] = any((x - ox) * (x - ox) + (y - oy) * (y - oy) <= r * r
+                            for ox, oy, r in scene.objects)
+    return out
 
 
 class TestRigPresets:
@@ -183,6 +212,21 @@ class TestRenderViews:
                 np.testing.assert_array_equal(render_views(scene, rig),
                                               per_ray_views(scene, rig))
 
+    def test_a_stack_is_one_grid_per_scene(self):
+        # the ego inside a disc, an empty scene and a scene of five discs in
+        # one stack: the shorter scenes are padded, and padding hits nothing
+        rig = rig_from_preset("truck", [1, 4])
+        scenes = [Scene(objects=((0.2, 0.1, 1.0), (3.0, 0.0, 1.0)),
+                        extent=16.0),
+                  Scene(objects=(), extent=16.0),
+                  sample_scene(np.random.default_rng(2), n_objects=(5, 5),
+                               extent=6.0, radius_range=(0.5, 3.0))]
+        stack = render_views(scenes, rig)
+        assert stack.shape == (3,) + render_views(scenes[0], rig).shape
+        for scene, views in zip(scenes, stack):
+            np.testing.assert_array_equal(views, per_ray_views(scene, rig))
+        assert render_views([], rig).shape == (0,) + stack.shape[1:]
+
     def test_in_fov_bins_closed_edge(self):
         # 24 bins have centers at +-7.5, +-22.5, +-37.5, ...; a 75 degree
         # FoV keeps the bins exactly on its +-37.5 edge
@@ -313,12 +357,26 @@ class TestRasterizeBev:
     def test_matches_per_cell_oracle(self):
         scene = Scene(objects=((0.0, 0.0, 1.0),), extent=8.0)
         grid = rasterize_bev(scene, (16, 16), 8.0)
-        for i in range(16):
-            for j in range(16):
-                y = -8.0 + (i + 0.5) * 1.0
-                x = -8.0 + (j + 0.5) * 1.0
-                expected = 1.0 if x * x + y * y <= 1.0 else 0.0
-                assert grid[i, j] == expected
+        assert grid.sum() == 4.0        # the four cells around the ego
+        np.testing.assert_array_equal(grid,
+                                      per_cell_raster(scene, (16, 16), 8.0))
+
+    def test_a_stack_is_one_grid_per_scene(self):
+        # disc counts 0, 1 and 3 in one stack pad the shorter scenes; the
+        # padding covers no cell, not even one centred on the ego
+        rng = np.random.default_rng(4)
+        scenes = [Scene(objects=(), extent=8.0),
+                  Scene(objects=((3.0, 0.0, 100.0),), extent=8.0),
+                  sample_scene(rng, n_objects=(3, 3), extent=8.0,
+                               radius_range=(1.0, 4.0))]
+        grid = (5, 15)                  # cell (2, 7) is centred on the ego
+        stack = rasterize_bev(scenes, grid, 15.0)
+        assert stack.shape == (3, 5, 15) and stack.dtype == np.float64
+        assert stack[0].sum() == 0.0 and stack[1].sum() == 75.0
+        for scene, one in zip(scenes, stack):
+            np.testing.assert_array_equal(one, rasterize_bev(scene, grid, 15.0))
+            np.testing.assert_array_equal(one,
+                                          per_cell_raster(scene, grid, 15.0))
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -326,6 +384,39 @@ class TestRasterizeBev:
 
 
 class TestClientDataset:
+    RIGS = [rig_from_preset("car", [1]), rig_from_preset("car", [1, 2, 3]),
+            rig_from_preset("car"), rig_from_preset("bus"),
+            rig_from_preset("truck"), rig_from_preset("infrastructure")]
+
+    # 64 scenes are cast and rasterized at a time: one block, its edges,
+    # and three blocks
+    @pytest.mark.parametrize("n_points", [2, 5, 64, 65, 130])
+    def test_equals_the_per_point_reference_bit_for_bit(self, n_points,
+                                                        monkeypatch):
+        default_rng = np.random.default_rng
+        made = []
+
+        def recorded_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+        for ri, rig in enumerate(self.RIGS):
+            for seed in (ri, 1000 + 7 * n_points + ri):
+                ds = build_client_dataset(rig, n_points, seed=seed)
+                rng = default_rng(np.random.SeedSequence([seed]))
+                assert len(ds.points) == n_points
+                assert ds.n_train == int(0.8 * n_points)
+                for point in ds.points:
+                    scene = scalar_scene(rng)
+                    assert point.views.dtype == point.bev_gt.dtype == np.float64
+                    np.testing.assert_array_equal(point.views,
+                                                  per_ray_views(scene, rig))
+                    np.testing.assert_array_equal(
+                        point.bev_gt, per_cell_raster(scene, (16, 16), 16.0))
+                # the dataset drew exactly the reference's values
+                assert made[-1].bit_generator.state == rng.bit_generator.state
+
     def test_split_arithmetic(self):
         ds = build_client_dataset(rig_from_preset("car"), 10, seed=0)
         assert len(ds.train) == 8 and len(ds.test) == 2
