@@ -33,24 +33,24 @@ def main():
     opt = AdamW(model.params.n)
     rng = np.random.default_rng(0)
 
-    no_vehicle = np.full(config.bev_grid, -1.0)
-    baseline = np.mean([iou(no_vehicle, p.bev_gt, mask) for p in dataset.test])
-    print(f"{len(dataset.train)} train / {len(dataset.test)} test points, "
+    views, bev = dataset.train
+    test_views, test_bev = dataset.test
+    baseline = np.mean(iou(np.full_like(test_bev, -1.0), test_bev, mask))
+    print(f"{len(bev)} train / {len(test_bev)} test points, "
           f"{model.params.n} parameters")
     for epoch in range(30):
-        order = rng.permutation(len(dataset.train))
+        order = rng.permutation(len(bev))
         losses = []
         for lo in range(0, len(order), 4):
-            batch = [dataset.train[i] for i in order[lo:lo + 4]]
-            logits, acts = model.forward_batch([p.views for p in batch], rig)
-            targets = np.stack([p.bev_gt for p in batch])
-            model.backward(acts, bce_with_logits_backward(logits, targets,
+            idx = order[lo:lo + 4]
+            logits, acts = model.forward_batch(views[idx], rig)
+            model.backward(acts, bce_with_logits_backward(logits, bev[idx],
                                                           mask))
             opt.step(model.params, lr=5e-3)
-            losses.append(bce_with_logits(logits, targets, mask))
+            losses.append(bce_with_logits(logits, bev[idx], mask))
         if epoch % 5 == 4:
-            scores = [iou(model.forward(p.views, rig), p.bev_gt, mask)
-                      for p in dataset.test]
+            scores = iou(model.forward_batch(test_views, rig)[0], test_bev,
+                         mask)
             print(f"epoch {epoch + 1:3d}: loss {np.mean(losses):.4f}  "
                   f"test IoU {np.mean(scores):.4f} "
                   f"(no-vehicle baseline {baseline:.4f})")

@@ -103,6 +103,11 @@ class ExperimentConfig:
                 raise ValueError(f"client {idx}: local_epochs must be >= 1")
             if spec.n_points < 2:
                 raise ValueError(f"client {idx}: n_points must be >= 2")
+            if spec.seed is not None and not 0 <= spec.seed < 2**63:
+                raise ValueError(f"client {idx}: seed must be null or in "
+                                 f"0..2**63-1, got {spec.seed}")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed must be in 0..2**63-1, got {self.seed}")
         private_segments(self.scheme)
         if self.optimizer not in ("adamw", "sgd"):
             raise ValueError(f"optimizer must be 'adamw' or 'sgd', "

@@ -190,16 +190,6 @@ class FederationEngine:
         store.values[self.private_idx] = client.private_values
         return store
 
-    def _batch_backward(self, model: ToyBevt, client: ClientState,
-                        batch) -> float:
-        """The batch's loss; its gradient is left in model.params.grads."""
-        logits, acts = model.forward_batch([p.views for p in batch],
-                                           client.rig)
-        targets = np.stack([p.bev_gt for p in batch])
-        model.backward(acts, bce_with_logits_backward(logits, targets,
-                                                      client.mask))
-        return bce_with_logits(logits, targets, client.mask)
-
     def local_update(self, client: ClientState, lr_u: float, lr_v: float,
                      round_no: int) -> ClientUpdate:
         """One client's epochs for the round, returned as a ClientUpdate.
@@ -221,14 +211,18 @@ class FederationEngine:
         lr[self.public_idx] = lr_u
         lr[self.private_idx] = lr_v
         rng = derive_rng(self.config.seed, "batch", round_no, client.seed)
-        train = client.dataset.train
+        views, bev = client.dataset.train
         batch_size = self.config.batch_size
         losses, grad_norms = [], []
         for _ in range(client.local_epochs):
-            order = rng.permutation(len(train))
+            order = rng.permutation(len(bev))
             for lo in range(0, len(order), batch_size):
-                batch = [train[i] for i in order[lo:lo + batch_size]]
-                loss = self._batch_backward(model, client, batch)
+                idx = order[lo:lo + batch_size]
+                logits, acts = model.forward_batch(views[idx], client.rig)
+                model.backward(acts, bce_with_logits_backward(
+                    logits, bev[idx], client.mask))
+                del acts    # free the activations before the next forward
+                loss = bce_with_logits(logits, bev[idx], client.mask)
                 if not math.isfinite(loss):
                     raise NonFiniteGradientError("non-finite training loss")
                 losses.append(loss)
@@ -302,7 +296,7 @@ class FederationEngine:
 
         # each survivor's weight is its dataset size
         entries = [(cid, updates[cid].delta,
-                    float(len(self.clients[cid].dataset.points)))
+                    float(len(self.clients[cid].dataset.views)))
                    for cid in survivors]
         if entries:
             self.store.values = aggregate(entries, self.store.values,

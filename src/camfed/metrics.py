@@ -43,29 +43,32 @@ EVAL_CHUNK = 8
 def mean_ious(model: ToyBevt, clients: list) -> list:
     """Mean IoU of `model` on each client's test split, in input order.
 
-    A client is anything with `rig`, `mask` and `dataset.test`; one without
-    test points gets nan. Clients with equal rigs and masks form one
-    group, whose test points run through forward_batch and `iou` EVAL_CHUNK
-    at a time whichever client they belong to: a point's logits do not
-    depend on its batch-mates, and the bound keeps each forward's arrays
-    small. Each forward's activations are dropped as soon as it returns.
+    A client is anything with `rig`, `mask` and `dataset.test`, a (views,
+    bev) pair; one without test points gets nan. Clients with equal rigs
+    and masks form one group, whose joined test rows run through
+    forward_batch and `iou` EVAL_CHUNK at a time whichever client they are
+    from: a point's logits do not depend on its batch-mates, and the bound
+    keeps each forward's arrays small; its activations go when it returns.
     """
     groups = {}
     for k, c in enumerate(clients):
         key = (c.rig, c.mask.shape, c.mask.tobytes())
         groups.setdefault(key, []).append(k)
-    scores = [[] for _ in clients]
+    scores = [None] * len(clients)
     for members in groups.values():
         rig, mask = clients[members[0]].rig, clients[members[0]].mask
-        jobs = [(k, p) for k in members for p in clients[k].dataset.test]
-        for lo in range(0, len(jobs), EVAL_CHUNK):
-            chunk = jobs[lo:lo + EVAL_CHUNK]
+        tests = [clients[k].dataset.test for k in members]
+        views, bev = (np.concatenate(stacks) for stacks in zip(*tests))
+        group_scores = np.empty(len(bev))
+        for lo in range(0, len(bev), EVAL_CHUNK):
+            rows = slice(lo, lo + EVAL_CHUNK)
             # index the pair, so the activations go before the next forward
-            logits = model.forward_batch([p.views for _, p in chunk], rig)[0]
-            truth = np.stack([p.bev_gt for _, p in chunk])
-            for (k, _), s in zip(chunk, iou(logits, truth, mask).tolist()):
-                scores[k].append(s)
-    return [float(np.mean(s)) if s else float("nan") for s in scores]
+            logits = model.forward_batch(views[rows], rig)[0]
+            group_scores[rows] = iou(logits, bev[rows], mask)
+        ends = np.cumsum([len(b) for _, b in tests])[:-1]
+        for k, s in zip(members, np.split(group_scores, ends)):
+            scores[k] = s
+    return [float(np.mean(s)) if len(s) else float("nan") for s in scores]
 
 
 @dataclass

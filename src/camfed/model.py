@@ -235,7 +235,7 @@ def init_params(config: ModelConfig, seed: int) -> ParamStore:
     """Deterministic init: Xavier-uniform weights, zero biases, query in +-0.1."""
     plan = _plan(config)
     store = ParamStore(plan.n)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 77]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 77]))
     for key, (sl, shape) in plan.arrays.items():
         size = sl.stop - sl.start
         if key == "bev_query.q":
@@ -325,15 +325,15 @@ class ToyBevt:
         Logits are produced for every cell, so the output shape is
         rig-independent; a FoV mask gates only the loss and the metrics.
         """
-        return self.forward_batch([views], rig)[0][0]
+        return self.forward_batch(views[None], rig)[0][0]
 
-    def forward_batch(self, views_list: list, rig: CameraRig):
-        """(logits, Activations) for several data points of the same rig;
-        the logits are (len(views_list), *bev_grid).
+    def forward_batch(self, views: np.ndarray, rig: CameraRig):
+        """(logits, Activations) for a (batch, n_tokens, E, C) stack of
+        views of one rig; the logits are (batch, *bev_grid).
 
         The positional branch and the query rows are shared across the
         batch and added to the per-sample rows by broadcasting; the
-        row-wise stages (encoder, refine, decoder) run on the stacked rows.
+        row-wise stages (encoder, refine, decoder) run on the batch's rows.
         """
         cfg = self.config
         if len(rig) > cfg.max_cameras:
@@ -341,13 +341,12 @@ class ToyBevt:
                              f"{cfg.max_cameras}")
         pos_in = rig_tokens(rig).rays
         expected = (len(pos_in), cfg.n_elevation_bins, cfg.n_view_channels)
-        for views in views_list:
-            if views.shape != expected:
-                raise ValueError(f"views of shape {views.shape} do not match "
-                                 f"the rig's tokens {expected}")
-        batch, f = len(views_list), cfg.feat_dim
+        if views.shape[1:] != expected:
+            raise ValueError(f"views of shape {views.shape} do not match "
+                             f"(batch, *the rig's tokens {expected})")
+        batch, f = len(views), cfg.feat_dim
         p = self._arrays(self.params.values)
-        tokens = np.stack(views_list).reshape(-1, cfg.token_dim)
+        tokens = views.reshape(-1, cfg.token_dim)
         enc_hidden = ad.relu(ad.affine(tokens, p["encoder.w1"],
                                        p["encoder.b1"]))
         enc = ad.affine(enc_hidden, p["encoder.w2"], p["encoder.b2"])

@@ -109,23 +109,21 @@ class Scene:
 
 
 @dataclass
-class DataPoint:
-    views: np.ndarray   # (n_tokens, E, C) float64, as render_views returns
-    bev_gt: np.ndarray  # (h, w) {0,1} float64
-
-
-@dataclass
 class ClientDataset:
-    points: list
+    """A client's scenes as two stacks, one row per scene: `views` (n,
+    n_tokens, E, C) from render_views and `bev` (n, h, w) {0,1}. `train` (the
+    first `n_train` rows) and `test` are (views, bev) row-slice views."""
+    views: np.ndarray
+    bev: np.ndarray
     n_train: int
 
     @property
     def train(self):
-        return self.points[: self.n_train]
+        return self.views[: self.n_train], self.bev[: self.n_train]
 
     @property
     def test(self):
-        return self.points[self.n_train:]
+        return self.views[self.n_train:], self.bev[self.n_train:]
 
 
 def rig_from_preset(name: str, camera_ids=None, n_azimuth_bins: int = 24,
@@ -384,11 +382,11 @@ def build_client_dataset(rig: CameraRig, n_points: int, seed: int,
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     scenes = [sample_scene(rng, extent=extent) for _ in range(n_points)]
-    points = []
-    for start in range(0, n_points, _SCENES_PER_BLOCK):
-        block = scenes[start:start + _SCENES_PER_BLOCK]
-        points += map(DataPoint, render_views(block, rig),
-                      rasterize_bev(block, grid, extent))
-    return ClientDataset(points=points, n_train=int(0.8 * n_points))
+    blocks = [scenes[lo:lo + _SCENES_PER_BLOCK]
+              for lo in range(0, n_points, _SCENES_PER_BLOCK)]
+    return ClientDataset(
+        views=np.concatenate([render_views(b, rig) for b in blocks]),
+        bev=np.concatenate([rasterize_bev(b, grid, extent) for b in blocks]),
+        n_train=int(0.8 * n_points))

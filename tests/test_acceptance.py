@@ -48,7 +48,7 @@ def weighted_series(engine, field):
     for t in range(1, engine.round + 1):
         recs = [r for r in engine.records
                 if r.round == t and not np.isnan(getattr(r, field))]
-        w = np.array([len(engine.clients[r.client_id].dataset.points)
+        w = np.array([len(engine.clients[r.client_id].dataset.views)
                       for r in recs], dtype=float)
         out.append(float(np.average([getattr(r, field) for r in recs],
                                     weights=w)))
@@ -191,7 +191,7 @@ class TestCriterion1:
             mask[0, int(rng.integers(0, 8))] = 0.0
             model = ToyBevt(SMALL, init_params(SMALL, seed=100 + inst))
             store = model.params
-            logits, acts = model.forward_batch([views], rig)
+            logits, acts = model.forward_batch(views[None], rig)
             model.backward(acts, ad.bce_with_logits_backward(
                 logits, target[None], mask))
             analytic = store.grads.copy()
@@ -287,14 +287,13 @@ class TestCriterion3:
                 model = ToyBevt(cfg, local)
                 opt = AdamW(local.n)
                 rng = derive_rng(master_seed, "batch", t, seed)
-                train = ds.train
-                order = rng.permutation(len(train))
+                views, bev = ds.train
+                order = rng.permutation(len(bev))
                 for lo in range(0, len(order), 4):
-                    batch = [train[i] for i in order[lo:lo + 4]]
-                    logits, acts = model.forward_batch(
-                        [p.views for p in batch], rig)
+                    idx = order[lo:lo + 4]
+                    logits, acts = model.forward_batch(views[idx], rig)
                     model.backward(acts, ad.bce_with_logits_backward(
-                        logits, np.stack([p.bev_gt for p in batch]), mask))
+                        logits, bev[idx], mask))
                     opt.step(local, lr=lr_t)
                 local_values.append(local.values)
             total = sum(weights)
@@ -393,7 +392,7 @@ class TestCriterion7:
         # a full (L, A, E, C) draw, cut to the rig's in-FoV token rows
         views = rng.random((1, 12, 2, 4))[in_fov_bins(rig.cameras[0], 12)[None]]
         target = (rng.random((8, 8)) < 0.3).astype(float)
-        logits, acts = model.forward_batch([views], rig)
+        logits, acts = model.forward_batch(views[None], rig)
         model.backward(acts, ad.bce_with_logits_backward(logits, target[None],
                                                          mask))
         qgrad = model.params.grads[_plan(SMALL).segments["bev_query"]].reshape(

@@ -5,7 +5,7 @@ imported, and two stdlib-`ast` passes check the attributes a demo reads only
 when it runs: those read on a name bound to a `build_engine(...)` result,
 against a real FederationEngine, and those read on a camfed module bound by
 an import (`from camfed import autodiff as ad` ... `ad.affine`), against that
-module.
+module. The demos' helpers that read a client's data run on a small engine.
 """
 
 import ast
@@ -13,9 +13,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from camfed.experiments import ClientSpec, ExperimentConfig, build_engine
+from camfed.metrics import iou
 from camfed.model import ModelConfig
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
@@ -74,7 +76,8 @@ def module_attribute_reads(source: str) -> list:
 @pytest.fixture(scope="module")
 def engine():
     return build_engine(ExperimentConfig(
-        rounds=1, warmup_rounds=0, clients=[ClientSpec(rig="car", n_points=2)],
+        rounds=1, warmup_rounds=0,
+        clients=[ClientSpec("car", n_points=10), ClientSpec("bus", 15)],
         model=ModelConfig(feat_dim=8, bev_grid=(8, 8), encoder_hidden=8,
                           decoder_hidden=8, n_azimuth_bins=12,
                           n_elevation_bins=2)))
@@ -85,12 +88,27 @@ def test_demos_found():
                                        "network_effects.py"}
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_imports_without_running(path):
+def load_demo(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports_without_running(path):
+    assert callable(load_demo(path).main)
+
+
+def test_demo_no_vehicle_floors_score_all_negative_logits(engine):
+    demos = {p.stem: load_demo(p) for p in DEMOS}
+    # the 2 and 3 test points one at a time, through the same metric
+    want = {c.client_id: float(np.mean([
+        iou(np.full(bev.shape, -1.0), bev, c.mask)
+        for bev in c.dataset.test[1]])) for c in engine.clients}
+    assert demos["federated_comparison"].no_vehicle_ious(engine) == want
+    assert demos["network_effects"].no_vehicle_floor(engine) == np.mean(
+        list(want.values()))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -126,7 +144,7 @@ def test_checker_flags_a_removed_module_attribute():
               "from camfed.model import ToyBevt\n"
               "def main(x, model):\n"
               "    rig = w.rig_from_preset('car')\n"
-              "    model.forward_batch([x], rig)\n"
+              "    model.forward_batch(x, rig)\n"
               "    return ad.add_n([ad.affine(x, x, x), ToyBevt.loss])\n")
     reads = module_attribute_reads(source)
     assert reads == [(5, "camfed.world", "rig_from_preset"),

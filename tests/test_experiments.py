@@ -140,7 +140,7 @@ class TestConfigValidation:
         ("straggler_ratio", float("nan")), ("lr_u", float("nan")),
         ("lr_u", -1.0), ("lr_v", float("inf")), ("lr_v", -1e-3),
         ("bits_budget", -5), ("bits_budget", 0), ("checkpoint_every", 0),
-        ("clients", [])])
+        ("clients", []), ("seed", -1), ("seed", 2**64 - 1)])
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
@@ -212,10 +212,12 @@ class TestConfigValidation:
                               ("bits_budget", (1, None)),
                               ("checkpoint_every", (1, None)),
                               ("optimizer", ("adamw", "sgd")),
+                              ("seed", (0, 2**63 - 1)),
                               ("scheme", ("fedavg", "fedrep", "fedtp"))):
             for value in values:
                 assert getattr(tiny_config(**{field: value}), field) == value
-        spec = ClientSpec(rig="car", n_points=2, local_epochs=1)
+        spec = ClientSpec(rig="car", n_points=2, local_epochs=1,
+                          seed=2**63 - 1)
         assert tiny_config(clients=[spec]).clients == [spec]
 
     @pytest.mark.parametrize("retention", [1.5, -0.2])
@@ -228,8 +230,10 @@ class TestConfigValidation:
             build_engine(tiny_config(topk_retention=retention))
         assert built == []
 
-    @pytest.mark.parametrize("key, value", [("local_epochs", 0),
-                                            ("n_points", 1)])
+    # seeds are in 0..2**63-1, the range of derived seeds
+    @pytest.mark.parametrize("key, value", [
+        ("local_epochs", 0), ("n_points", 1), ("seed", -1),
+        ("seed", 5 + 2**63)])
     def test_client_sizes_rejected(self, key, value):
         spec = ClientSpec(rig="car", n_points=6)
         setattr(spec, key, value)
@@ -242,7 +246,8 @@ class TestConfigValidation:
         ("n_points", 1), ("optimizer", "lbfgs"), ("scheme", "bogus"),
         ("topk_retention", 1.5), ("straggler_ratio", 7.5),
         ("lr_u", float("nan")), ("lr_v", -1.0), ("bits_budget", -5),
-        ("checkpoint_every", 0), ("clients", []), ("rig", "bogus")])
+        ("checkpoint_every", 0), ("clients", []), ("rig", "bogus"),
+        ("seed", -1)])
     def test_field_set_after_construction_fails_before_any_dataset(
             self, key, value, tmp_path, monkeypatch):
         built = []

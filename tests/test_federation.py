@@ -302,12 +302,11 @@ class TestLocalUpdate:
         local = ParamStore(eng.store.n, values=eng.store.values)
         model = ToyBevt(SMALL, local)
         rng = derive_rng(3, "batch", 1, client.seed)
-        order = rng.permutation(len(client.dataset.train))
-        batch = [client.dataset.train[i] for i in order]
-        logits, acts = model.forward_batch([p.views for p in batch],
-                                           client.rig)
+        views, bev = client.dataset.train
+        order = rng.permutation(len(bev))
+        logits, acts = model.forward_batch(views[order], client.rig)
         model.backward(acts, bce_with_logits_backward(
-            logits, np.stack([p.bev_gt for p in batch]), client.mask))
+            logits, bev[order], client.mask))
         expected = -0.05 * local.grads[eng.public_idx]
 
         delta = eng.local_update(client, lr_u=0.05, lr_v=0.05,
@@ -349,8 +348,8 @@ class TestRunRound:
         # every selected client aborts, so no delta reaches aggregation
         eng = small_engine(scheme="fedavg", n_clients=2, rounds=1, seed=4)
         for c in eng.clients:
-            for p in c.dataset.train:
-                p.views[:] = np.nan
+            train_views, _ = c.dataset.train
+            train_views[:] = np.nan     # writes through to the stack
         before = eng.store.values.copy()
         recs = eng.run_round()
         assert np.array_equal(eng.store.values, before)
@@ -442,11 +441,11 @@ class TestRunRound:
     def test_nonfinite_client_aborts_and_others_aggregate(self):
         eng = small_engine(scheme="fedcap", n_clients=3)
         bad = eng.clients[1]
-        bad.dataset.train[0].views[:] = np.nan
+        bad.dataset.views[0] = np.nan
         lr = lr_schedule(1, 1e-2, 0, eng.config.rounds)
         expected = aggregate(
             [(c.client_id, eng.local_update(c, lr, lr, 1).delta,
-              float(len(c.dataset.points)))
+              float(len(c.dataset.views)))
              for c in (eng.clients[0], eng.clients[2])],
             eng.store.values, eng.public_idx)
         bad_private = bad.private_values.copy()
@@ -490,8 +489,8 @@ class TestRunRound:
         assert [m for m, _ in calls] == built[len(selected):]
         for r, c in zip(recs, eng.clients):
             model = ToyBevt(SMALL, eng.personal_store(c))
-            ref = np.mean([iou(model.forward(p.views, c.rig),
-                               p.bev_gt, c.mask) for p in c.dataset.test])
+            ref = np.mean([iou(model.forward(views, c.rig), bev, c.mask)
+                           for views, bev in zip(*c.dataset.test)])
             assert r.val_iou == float(ref)
 
     @pytest.mark.parametrize("scheme, owners", [
@@ -593,7 +592,7 @@ def test_training_steps_fault_in_no_fresh_heap():
     assert camfed._heap_kept_mapped
     engine = build_engine(preset("uc1"))
     car = engine.clients[2]
-    steps = car.local_epochs * math.ceil(len(car.dataset.train)
+    steps = car.local_epochs * math.ceil(car.dataset.n_train
                                          / engine.config.batch_size)
     engine.local_update(car, 1e-2, 1e-2, 1)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

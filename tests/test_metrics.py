@@ -94,10 +94,11 @@ class TestIou:
             iou(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2)))
 
 
-def make_client(rig, points, seed=0, mask=None):
-    """A client whose every point is a test point."""
+def make_client(rig, n, seed=0, mask=None):
+    """A client of `n` points of `rig` (none for n = 0), each a test point."""
+    ds = build_client_dataset(rig, max(n, 1), seed=seed, grid=(8, 8))
     return ClientState(client_id=seed, rig=rig,
-                       dataset=ClientDataset(points=list(points), n_train=0),
+                       dataset=ClientDataset(ds.views[:n], ds.bev[:n], 0),
                        seed=seed,
                        mask=amcm_mask(rig, (8, 8), 16.0) if mask is None
                        else mask)
@@ -105,8 +106,8 @@ def make_client(rig, points, seed=0, mask=None):
 
 def reference_iou(model, client):
     """Mean IoU over one taped forward per test point; nan without points."""
-    scores = [iou(model.forward(p.views, client.rig),
-                  p.bev_gt, client.mask) for p in client.dataset.test]
+    scores = [iou(model.forward(views, client.rig), bev, client.mask)
+              for views, bev in zip(*client.dataset.test)]
     return float(np.mean(scores)) if scores else float("nan")
 
 
@@ -115,12 +116,11 @@ class TestMeanIou:
                       decoder_hidden=8, n_azimuth_bins=12, n_elevation_bins=2)
 
     @classmethod
-    def mixed_model(cls, rig, points):
+    def mixed_model(cls, rig, views):
         model = ToyBevt(cls.CFG, seed=4)
         # centre the decoder bias so predictions mix positives and negatives
         sl, _ = model._offsets["decoder.b2"]
-        model.params.values[sl] -= np.median(
-            model.forward(points[0].views, rig))
+        model.params.values[sl] -= np.median(model.forward(views[0], rig))
         return model
 
     @staticmethod
@@ -136,29 +136,23 @@ class TestMeanIou:
                  ("truck", None, 4, 13), ("car", [1], 7, 14),
                  ("car", [1, 2, 3], 9, 15), ("car", None, 3, 16),
                  ("car", None, 0, 17)]
-        clients = []
-        for name, cameras, n, seed in specs:
-            rig = cls.rig(name, cameras)
-            points = (build_client_dataset(rig, n, seed=seed, grid=(8, 8)).points
-                      if n else [])
-            clients.append(make_client(rig, points, seed=seed))
-        return clients
+        return [make_client(cls.rig(name, cameras), n, seed)
+                for name, cameras, n, seed in specs]
 
     @pytest.mark.parametrize("cameras", [[1], [1, 2, 3, 4]])
     def test_chunked_equals_one_forward_per_point(self, cameras):
         # 17 points cross two chunk boundaries
         rig = self.rig("car", cameras)
-        client = make_client(
-            rig, build_client_dataset(rig, 17, seed=3, grid=(8, 8)).points)
-        model = self.mixed_model(rig, client.dataset.test)
-        single = [iou(model.forward(p.views, rig), p.bev_gt,
-                      client.mask) for p in client.dataset.test]
+        client = make_client(rig, 17, seed=3)
+        model = self.mixed_model(rig, client.dataset.test[0])
+        single = [iou(model.forward(views, rig), bev, client.mask)
+                  for views, bev in zip(*client.dataset.test)]
         assert len(set(single)) > 1
         assert mean_ious(model, [client]) == [float(np.mean(single))]
 
     def test_mixed_clients_equal_per_client_reference(self):
         clients = self.mixed_clients()
-        model = self.mixed_model(clients[1].rig, clients[1].dataset.test)
+        model = self.mixed_model(clients[1].rig, clients[1].dataset.test[0])
         got = mean_ious(model, clients)
         ref = [reference_iou(ToyBevt(self.CFG, ParamStore(
             model.params.n, values=model.params.values)), c) for c in clients]
@@ -170,9 +164,9 @@ class TestMeanIou:
         sizes = []
         forward_batch = ToyBevt.forward_batch
 
-        def recording(model, views_list, rig):
-            sizes.append(len(views_list))
-            return forward_batch(model, views_list, rig)
+        def recording(model, views, rig):
+            sizes.append(len(views))
+            return forward_batch(model, views, rig)
 
         monkeypatch.setattr(ToyBevt, "forward_batch", recording)
         clients = self.mixed_clients()
@@ -185,8 +179,7 @@ class TestMeanIou:
 
     def test_keeps_nothing_between_calls(self):
         rig = self.rig("car")
-        client = make_client(
-            rig, build_client_dataset(rig, 20, seed=3, grid=(8, 8)).points)
+        client = make_client(rig, 20, seed=3)
         model = ToyBevt(self.CFG, seed=4)
         state = dict(vars(model))
         grads = model.params.grads.copy()
@@ -198,7 +191,7 @@ class TestMeanIou:
         np.testing.assert_array_equal(model.params.grads, grads)
 
     def test_no_points_is_nan(self):
-        client = make_client(self.rig("car"), [], mask=np.ones((8, 8)))
+        client = make_client(self.rig("car"), 0, mask=np.ones((8, 8)))
         model = ToyBevt(self.CFG, seed=4)
         assert np.isnan(mean_ious(model, [client])).all()
 
@@ -343,7 +336,7 @@ class TestCrossEvaluate:
         # 4 test points per client: each model's two foreign testsets share
         # one rig and mask, so only their 8 points run, EVAL_CHUNK at a time
         eng = self.tiny_engine([5, 6, 7], n_points=20)
-        assert [len(c.dataset.test) for c in eng.clients] == [4, 4, 4]
+        assert [len(c.dataset.test[1]) for c in eng.clients] == [4, 4, 4]
         own = eng.evaluate_clients()
         sizes = self.count_forwards(monkeypatch)
         m = cross_evaluate(eng.personalized_models(), eng.clients, own)

@@ -35,15 +35,15 @@ def small_sample(seed=0, n_cams=2):
     return rig, views, target
 
 
-def train_step(model, views_list, rig, targets, mask):
+def train_step(model, views, rig, targets, mask):
     """One batch's loss; its gradient is left in model.params.grads."""
-    logits, acts = model.forward_batch(views_list, rig)
+    logits, acts = model.forward_batch(views, rig)
     model.backward(acts, ad.bce_with_logits_backward(logits, targets, mask))
     return ad.bce_with_logits(logits, targets, mask)
 
 
-def loss_of(model, views_list, rig, targets, mask):
-    return ad.bce_with_logits(model.forward_batch(views_list, rig)[0],
+def loss_of(model, views, rig, targets, mask):
+    return ad.bce_with_logits(model.forward_batch(views, rig)[0],
                               targets, mask)
 
 
@@ -120,11 +120,13 @@ class TestForward:
         assert logits.shape == SMALL.bev_grid
 
     def test_batch_is_one_tensor_whose_rows_equal_single_forwards(self):
+        # train (forward_batch) and eval (forward) logits agree bit for bit
         model = ToyBevt(SMALL, seed=0)
         rig = small_rig()
-        views = [small_sample(seed=s)[1] for s in range(3)]
-        logits, _ = model.forward_batch(views, rig)
-        assert logits.shape == (3, *SMALL.bev_grid)
+        views = np.stack([small_sample(seed=s)[1] for s in range(3)])
+        logits, acts = model.forward_batch(views, rig)
+        assert logits.shape == (3, *SMALL.bev_grid) and acts.batch == 3
+        assert acts.tok.shape[0] == 3 * acts.pos_in.shape[0]
         for row, v in zip(logits, views):
             np.testing.assert_array_equal(row, model.forward(v, rig))
 
@@ -140,11 +142,12 @@ class TestForward:
         model = ToyBevt(SMALL, seed=0)
         rig, views, _ = small_sample(n_cams=2)
         n_tok = len(rig_tokens(rig).camera)
-        full = np.zeros((2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
+        full = np.zeros((1, 2, SMALL.n_azimuth_bins, SMALL.n_elevation_bins,
                          SMALL.n_view_channels))
-        for bad in (full, small_sample(n_cams=3)[1]):
+        # all rig cameras' bins, another rig's tokens, no batch axis
+        for bad in (full, small_sample(n_cams=3)[1][None], views):
             with pytest.raises(ValueError) as err:
-                model.forward_batch([views, bad], rig)
+                model.forward_batch(bad, rig)
             assert str(bad.shape) in str(err.value)
             assert str((n_tok, SMALL.n_elevation_bins,
                         SMALL.n_view_channels)) in str(err.value)
@@ -174,7 +177,7 @@ class TestForward:
         model = ToyBevt(SMALL, seed=2)
         mask = np.ones(SMALL.bev_grid)
         mask[0, :] = 0.0
-        train_step(model, [views], rig, target[None], mask)
+        train_step(model, views[None], rig, target[None], mask)
         qgrad = model.params.grads[SEGMENTS["bev_query"]].reshape(
             SMALL.n_query_cells, SMALL.feat_dim)
         masked_rows = np.nonzero(mask.ravel() == 0.0)[0]
@@ -182,8 +185,8 @@ class TestForward:
         assert np.all(qgrad[masked_rows] == 0.0)
         assert np.any(qgrad[active_rows] != 0.0)
 
-    def _query_grad(self, model, views_list, rig, targets, mask):
-        loss = train_step(model, views_list, rig, targets, mask)
+    def _query_grad(self, model, views, rig, targets, mask):
+        loss = train_step(model, views, rig, targets, mask)
         qgrad = model.params.grads[SEGMENTS["bev_query"]].reshape(
             SMALL.n_query_cells, SMALL.feat_dim)
         return loss, model.params.grads.copy(), qgrad.copy()
@@ -191,7 +194,7 @@ class TestForward:
     def test_all_ones_mask_gives_every_query_row_grad(self):
         rig, views, target = small_sample(seed=8)
         model = ToyBevt(SMALL, seed=9)
-        _, _, qgrad = self._query_grad(model, [views], rig, target[None],
+        _, _, qgrad = self._query_grad(model, views[None], rig, target[None],
                                        np.ones(SMALL.bev_grid))
         assert np.all(np.any(qgrad != 0.0, axis=1))
 
@@ -199,14 +202,15 @@ class TestForward:
         rig, views, target = small_sample(seed=10)
         model = ToyBevt(SMALL, seed=11)
         mask = (np.indices(SMALL.bev_grid).sum(axis=0) % 2).astype(float)
-        _, _, qgrad = self._query_grad(model, [views], rig, target[None], mask)
+        _, _, qgrad = self._query_grad(model, views[None], rig, target[None],
+                                       mask)
         zero_rows = np.all(qgrad == 0.0, axis=1)
         np.testing.assert_array_equal(zero_rows, mask.ravel() == 0.0)
 
     def test_masked_batch_query_rows_get_zero_grad(self):
         rig = small_rig()
         rng = np.random.default_rng(12)
-        views = [random_views(rng, rig) for _ in range(3)]
+        views = np.stack([random_views(rng, rig) for _ in range(3)])
         targets = (rng.random((3, *SMALL.bev_grid)) < 0.3).astype(float)
         mask = (rng.random(SMALL.bev_grid) < 0.5).astype(float)
         model = ToyBevt(SMALL, seed=13)
@@ -221,9 +225,9 @@ class TestForward:
         mask[:, :3] = 0.0
         flipped = np.where(mask == 0.0, 1.0 - target, target)
         model = ToyBevt(SMALL, seed=15)
-        loss_a, grads_a, _ = self._query_grad(model, [views], rig,
+        loss_a, grads_a, _ = self._query_grad(model, views[None], rig,
                                               target[None], mask)
-        loss_b, grads_b, _ = self._query_grad(model, [views], rig,
+        loss_b, grads_b, _ = self._query_grad(model, views[None], rig,
                                               flipped[None], mask)
         assert loss_a == loss_b
         np.testing.assert_array_equal(grads_a, grads_b)
@@ -243,7 +247,7 @@ class TestForward:
         mask[0, 0] = 0.0
         model = ToyBevt(SMALL, seed=4)
         store = model.params
-        train_step(model, [views], rig, target[None], mask)
+        train_step(model, views[None], rig, target[None], mask)
         analytic = store.grads.copy()
 
         step = 1e-5
@@ -253,9 +257,9 @@ class TestForward:
         for i in probe:
             saved = store.values[i]
             store.values[i] = saved + step
-            up = loss_of(model, [views], rig, target[None], mask)
+            up = loss_of(model, views[None], rig, target[None], mask)
             store.values[i] = saved - step
-            dn = loss_of(model, [views], rig, target[None], mask)
+            dn = loss_of(model, views[None], rig, target[None], mask)
             store.values[i] = saved
             numeric = (up - dn) / (2 * step)
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)
@@ -270,7 +274,7 @@ class TestForward:
         store = model.params
         pub, priv = split_params(SMALL, "fedcap")
         before = store.values.copy()
-        train_step(model, [views], rig, target[None], mask)
+        train_step(model, views[None], rig, target[None], mask)
         lr = np.zeros(store.n)
         lr[priv] = 0.1
         sgd_step(store, lr=lr)   # frozen public slice
@@ -287,7 +291,7 @@ class TestBackward:
         # sum their gradient over the batch
         rig = small_rig(3)
         rng = np.random.default_rng(SEGMENT_NAMES.index(segment))
-        views = [random_views(rng, rig) for _ in range(3)]
+        views = np.stack([random_views(rng, rig) for _ in range(3)])
         targets = (rng.random((3, *SMALL.bev_grid)) < 0.3).astype(float)
         mask = (rng.random(SMALL.bev_grid) < 0.8).astype(float)
         model = ToyBevt(SMALL, seed=30)
@@ -316,25 +320,15 @@ class TestBackward:
         mask = np.ones(SMALL.bev_grid)
         mask[:2] = 0.0
         model = ToyBevt(SMALL, seed=32)
-        train_step(model, [views], rig, target[None], mask)
+        train_step(model, views[None], rig, target[None], mask)
         clean = model.params.grads.copy()
         model.params.grads[:] = -0.0
         model.params.grads[::3] = np.nan
-        train_step(model, [views], rig, target[None], mask)
+        train_step(model, views[None], rig, target[None], mask)
         np.testing.assert_array_equal(model.params.grads.view(np.int64),
                                       clean.view(np.int64))
         zeros = clean == 0.0
         assert zeros.any() and not np.signbit(clean[zeros]).any()
-
-    def test_train_logits_equal_eval_logits(self):
-        rig = small_rig(2)
-        views = [small_sample(seed=s)[1] for s in range(4)]
-        model = ToyBevt(SMALL, seed=33)
-        logits, acts = model.forward_batch(views, rig)
-        assert acts.batch == 4
-        assert acts.tok.shape[0] == 4 * acts.pos_in.shape[0]
-        for v, row in zip(views, logits):
-            np.testing.assert_array_equal(model.forward(v, rig), row)
 
     def test_plan_is_built_once_per_config_and_read_only(self):
         a, b = ToyBevt(SMALL, seed=0), ToyBevt(SMALL, seed=1)

@@ -405,36 +405,39 @@ class TestClientDataset:
             for seed in (ri, 1000 + 7 * n_points + ri):
                 ds = build_client_dataset(rig, n_points, seed=seed)
                 rng = default_rng(np.random.SeedSequence([seed]))
-                assert len(ds.points) == n_points
+                assert len(ds.views) == len(ds.bev) == n_points
                 assert ds.n_train == int(0.8 * n_points)
-                for point in ds.points:
+                assert ds.views.dtype == ds.bev.dtype == np.float64
+                for views, bev in zip(ds.views, ds.bev):
                     scene = scalar_scene(rng)
-                    assert point.views.dtype == point.bev_gt.dtype == np.float64
-                    np.testing.assert_array_equal(point.views,
+                    np.testing.assert_array_equal(views,
                                                   per_ray_views(scene, rig))
                     np.testing.assert_array_equal(
-                        point.bev_gt, per_cell_raster(scene, (16, 16), 16.0))
+                        bev, per_cell_raster(scene, (16, 16), 16.0))
                 # the dataset drew exactly the reference's values
                 assert made[-1].bit_generator.state == rng.bit_generator.state
 
     def test_split_arithmetic(self):
         ds = build_client_dataset(rig_from_preset("car"), 10, seed=0)
-        assert len(ds.train) == 8 and len(ds.test) == 2
+        # row slices of the stacks, views and not copies, covering all rows
+        for whole, train, test in zip((ds.views, ds.bev), ds.train, ds.test):
+            assert (len(train), len(test)) == (8, 2)
+            assert np.shares_memory(train, whole)
+            assert np.shares_memory(test, whole)
+            np.testing.assert_array_equal(np.concatenate([train, test]), whole)
 
     def test_deterministic(self):
         rig = rig_from_preset("bus")
         a = build_client_dataset(rig, 5, seed=42)
         b = build_client_dataset(rig, 5, seed=42)
-        for pa, pb in zip(a.points, b.points):
-            assert np.array_equal(pa.views, pb.views)
-            assert np.array_equal(pa.bev_gt, pb.bev_gt)
+        assert np.array_equal(a.views, b.views)
+        assert np.array_equal(a.bev, b.bev)
 
     def test_different_seeds_differ(self):
         rig = rig_from_preset("bus")
         a = build_client_dataset(rig, 5, seed=1)
         b = build_client_dataset(rig, 5, seed=2)
-        assert any(not np.array_equal(pa.views, pb.views)
-                   for pa, pb in zip(a.points, b.points))
+        assert not np.array_equal(a.views, b.views)
 
 
 class TestYawEquivariance:
