@@ -25,7 +25,7 @@ from .metrics import CrossEvalMatrix, cross_evaluate, rounds_to_target
 from .model import (ModelConfig, check_field_types, check_keys,
                     private_segments, split_params)
 from .seeding import derive_seed
-from .world import (N_VIEW_CHANNELS, build_client_dataset, rig_from_preset,
+from .world import (N_VIEW_CHANNELS, build_client_datasets, rig_from_preset,
                     rig_tokens)
 
 CSV_HEADER = ("round,client_id,selected,straggler,train_loss,val_iou,"
@@ -67,8 +67,9 @@ class ExperimentConfig:
     def __post_init__(self):
         self.validate()
 
-    def validate(self) -> None:
-        """Reject settings of the wrong type or out of range.
+    def validate(self) -> list:
+        """Reject settings of the wrong type or out of range, and return
+        each client's rig, in client order.
 
         Runs at construction and again in `build_engine` and `sweep`, so a
         field set after construction is checked before any dataset is
@@ -81,6 +82,7 @@ class ExperimentConfig:
             raise ValueError(f"model.n_view_channels must be {N_VIEW_CHANNELS}"
                              f" (the rendered channels), got "
                              f"{self.model.n_view_channels}")
+        rigs = []
         for idx, spec in enumerate(self.clients):
             check_field_types(spec, f"client {idx}: ")
             if spec.cameras is not None and not all(
@@ -95,6 +97,7 @@ class ExperimentConfig:
                 rig_tokens(rig)
             except ValueError as err:
                 raise ValueError(f"client {idx}: {err}") from None
+            rigs.append(rig)
             if len(rig) > self.model.max_cameras:
                 raise ValueError(f"client {idx}: rig has {len(rig)} cameras, "
                                  f"more than model.max_cameras "
@@ -134,6 +137,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be null or >= 1, got {value}")
+        return rigs
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -230,20 +234,18 @@ def build_engine(config: ExperimentConfig) -> FederationEngine:
 
     Settings are checked first, fields set after construction included.
     """
-    config.validate()
-    mc = config.model
-    clients = []
-    for idx, spec in enumerate(config.clients):
-        seed = spec.seed if spec.seed is not None else derive_seed(
-            config.seed, "client", idx)
-        rig = rig_from_preset(spec.rig, camera_ids=spec.cameras,
-                              n_azimuth_bins=mc.n_azimuth_bins,
-                              n_elevation_bins=mc.n_elevation_bins)
-        dataset = build_client_dataset(rig, spec.n_points, seed=seed,
-                                       grid=mc.bev_grid,
-                                       extent=mc.world_extent)
-        clients.append(ClientState(client_id=idx, rig=rig, dataset=dataset,
-                                   seed=seed, local_epochs=spec.local_epochs))
+    rigs = config.validate()
+    seeds = [spec.seed if spec.seed is not None
+             else derive_seed(config.seed, "client", idx)
+             for idx, spec in enumerate(config.clients)]
+    datasets = build_client_datasets(
+        [(rig, spec.n_points, seed)
+         for rig, spec, seed in zip(rigs, config.clients, seeds)],
+        grid=config.model.bev_grid, extent=config.model.world_extent)
+    clients = [ClientState(client_id=idx, rig=rig, dataset=dataset,
+                           seed=seed, local_epochs=spec.local_epochs)
+               for idx, (spec, rig, seed, dataset) in enumerate(
+                   zip(config.clients, rigs, seeds, datasets))]
     return FederationEngine(config, clients)
 
 

@@ -21,6 +21,7 @@ move features around.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -151,17 +152,26 @@ def sample_scene(rng: np.random.Generator, n_objects=DEFAULT_N_OBJECTS,
                  radius_range=DEFAULT_RADIUS_RANGE) -> Scene:
     """Draw a scene with a uniform object count in the inclusive range.
 
-    One `integers` call draws the count and one `uniform` call the (x, y,
-    radius) of every object, in the stream order of one scalar draw each.
+    One `integers` call draws the count and one `random` call a u in [0, 1)
+    for the x, y and radius of every object, each mapped by `low + span *
+    u` in float64: the arithmetic `Generator.uniform(low, high)` does on the
+    same draws, so the values and the generator's final state are those of
+    one scalar `uniform` draw each.
     """
     if extent <= 0:
         raise ValueError("extent must be positive")
+    xy_low, r_low = -extent, radius_range[0]
+    xy_span, r_span = extent - xy_low, radius_range[1] - r_low
+    if r_span < 0:
+        raise ValueError("radius_range must be (low, high) with low <= high")
+    if not (math.isfinite(xy_span) and math.isfinite(r_span)):
+        raise ValueError("extent and radius_range must span finite ranges")
     lo, hi = n_objects
     n = int(rng.integers(lo, hi + 1))
-    low = np.array([-extent, -extent, radius_range[0]] * n)
-    high = np.array([extent, extent, radius_range[1]] * n)
-    xyr = rng.uniform(low, high).reshape(n, 3).tolist()
-    return Scene(objects=tuple(map(tuple, xyr)), extent=extent)
+    objects = tuple((xy_low + xy_span * ux, xy_low + xy_span * uy,
+                     r_low + r_span * ur)
+                    for ux, uy, ur in rng.random((n, 3)).tolist())
+    return Scene(objects=objects, extent=extent)
 
 
 def azimuth_bin_angles(n_bins: int) -> np.ndarray:
@@ -367,26 +377,64 @@ def rasterize_bev(scenes, grid, extent: float) -> np.ndarray:
     return out[0] if one else out
 
 
-# scenes per ray cast and raster in `build_client_dataset`: bounds the
+# scenes per ray cast and raster in `build_client_datasets`: bounds the
 # (scenes, rays, discs) and (scenes, discs, h, w) broadcasts
 _SCENES_PER_BLOCK = 64
+
+
+def _draw_scenes(specs, extent: float):
+    """The scenes of each (rig, n_points, seed) in `specs`, in order, each
+    client's drawn one after another from its own stream."""
+    for _, n, seed in specs:
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        for _ in range(n):
+            yield sample_scene(rng, extent=extent)
+
+
+def build_client_datasets(specs, grid=(16, 16),
+                          extent: float = DEFAULT_EXTENT) -> list:
+    """One deterministic dataset per (rig, n_points, seed) in `specs`, in
+    order; the first 80% of a client's points are its train split.
+
+    Each client draws its scenes one after another from its own stream.
+    Clients on equal rigs are built together: the rig's scenes, client
+    after client, are drawn, cast and rasterized in blocks of at most
+    `_SCENES_PER_BLOCK`, and each block's rows are copied into the arrays
+    of the clients they belong to. A scene's rows do not depend on the
+    other scenes of its block, so every dataset is the one its client would
+    get alone.
+    """
+    specs = [(rig, int(n), int(seed)) for rig, n, seed in specs]
+    if any(n < 1 for _, n, _ in specs):
+        raise ValueError("n_points must be >= 1")
+    datasets = [ClientDataset(
+        views=np.empty((n, len(rig_tokens(rig).camera), rig.n_elevation_bins,
+                        N_VIEW_CHANNELS)),
+        bev=np.empty((n, *grid)), n_train=int(0.8 * n))
+        for rig, n, _ in specs]
+    groups = {}
+    for idx, (rig, _, _) in enumerate(specs):
+        groups.setdefault(rig, []).append(idx)
+    for rig, members in groups.items():
+        scenes = _draw_scenes([specs[idx] for idx in members], extent)
+        # rows [start, end) of the rig's scenes are one client's
+        ends = list(itertools.accumulate(specs[idx][1] for idx in members))
+        for lo in range(0, ends[-1], _SCENES_PER_BLOCK):
+            block = list(itertools.islice(scenes, _SCENES_PER_BLOCK))
+            views = render_views(block, rig)
+            bev = rasterize_bev(block, grid, extent)
+            hi = lo + len(block)
+            for idx, start, end in zip(members, [0] + ends, ends):
+                a, b = max(lo, start), min(hi, end)
+                if a < b:
+                    ds = datasets[idx]
+                    ds.views[a - start:b - start] = views[a - lo:b - lo]
+                    ds.bev[a - start:b - start] = bev[a - lo:b - lo]
+    return datasets
 
 
 def build_client_dataset(rig: CameraRig, n_points: int, seed: int,
                          grid=(16, 16),
                          extent: float = DEFAULT_EXTENT) -> ClientDataset:
-    """Generate a deterministic dataset; first 80% of points are the train split.
-
-    Scenes are drawn one after another from the client's stream, then cast
-    and rasterized in blocks of at most `_SCENES_PER_BLOCK` scenes.
-    """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    scenes = [sample_scene(rng, extent=extent) for _ in range(n_points)]
-    blocks = [scenes[lo:lo + _SCENES_PER_BLOCK]
-              for lo in range(0, n_points, _SCENES_PER_BLOCK)]
-    return ClientDataset(
-        views=np.concatenate([render_views(b, rig) for b in blocks]),
-        bev=np.concatenate([rasterize_bev(b, grid, extent) for b in blocks]),
-        n_train=int(0.8 * n_points))
+    """One client's dataset: `build_client_datasets` of one spec."""
+    return build_client_datasets([(rig, n_points, seed)], grid, extent)[0]

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from camfed import cli, experiments
+from camfed import cli, experiments, world
 from camfed.cli import main as cli_main
 from camfed.experiments import (ClientSpec, ExperimentConfig, build_engine,
                                 load_checkpoint, preset, run_experiment,
@@ -24,6 +24,21 @@ def tiny_config(**changes):
                           n_azimuth_bins=12, n_elevation_bins=2))
     base.update(changes)
     return ExperimentConfig(**base)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The spec list of every dataset build that `build_engine` starts
+    (the builds still run)."""
+    calls = []
+    build = experiments.build_client_datasets
+
+    def spy(specs, *args, **kwargs):
+        calls.append(specs)
+        return build(specs, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_client_datasets", spy)
+    return calls
 
 
 def with_header(blob, edit):
@@ -187,10 +202,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict([tiny_config().to_dict()])
 
     def test_wrong_type_set_after_construction_fails_before_any_dataset(
-            self, monkeypatch):
-        built = []
-        monkeypatch.setattr(experiments, "build_client_dataset",
-                            lambda *a, **k: built.append(a))
+            self, built):
         cfg = tiny_config()
         cfg.topk_retention = "0.5"
         with pytest.raises(ValueError, match="topk_retention must be a real"):
@@ -222,10 +234,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("retention", [1.5, -0.2])
     def test_bad_retention_fails_before_any_dataset(self, retention,
-                                                    monkeypatch):
-        built = []
-        monkeypatch.setattr(experiments, "build_client_dataset",
-                            lambda *a, **k: built.append(a))
+                                                    built):
         with pytest.raises(ValueError, match="topk_retention"):
             build_engine(tiny_config(topk_retention=retention))
         assert built == []
@@ -249,10 +258,7 @@ class TestConfigValidation:
         ("checkpoint_every", 0), ("clients", []), ("rig", "bogus"),
         ("seed", -1)])
     def test_field_set_after_construction_fails_before_any_dataset(
-            self, key, value, tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(experiments, "build_client_dataset",
-                            lambda *a, **k: built.append(a))
+            self, key, value, tmp_path, built):
         cfg = tiny_config()
         on_client = key in ("local_epochs", "n_points", "rig")
         setattr(cfg.clients[0] if on_client else cfg, key, value)
@@ -267,6 +273,66 @@ class TestConfigValidation:
     def test_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="scale"):
             experiments.scaled(100, scale)
+
+
+class TestBuildEngine:
+    @pytest.mark.parametrize("entry", ["build_engine", "run", "sweep",
+                                       "cli"])
+    def test_dataset_spy_records_a_valid_build(self, entry, built,
+                                               tmp_path):
+        # the control of every "fails before any dataset" test: a valid
+        # config passes through the spied builder once per run
+        cfg = tiny_config(rounds=1)
+        out = tmp_path / "o"
+        if entry == "build_engine":
+            build_engine(cfg)
+        elif entry == "run":
+            run_experiment(cfg, out)
+        elif entry == "sweep":
+            sweep(cfg, "select_m", [1], out)
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg.save_json(cfg_path)
+            assert cli_main(["run", "--config", str(cfg_path),
+                             "--out", str(out)]) == 0
+        assert len(built) == 1
+        assert [(rig.name, n) for rig, n, _ in built[0]] == [("car", 6),
+                                                             ("bus", 5)]
+
+    def test_datasets_equal_one_client_builds_bit_for_bit(self):
+        # the car rig's scenes are cast in blocks of 64 rows: clients 2 and
+        # 6 (its rows 60-89 and 120-149) straddle a block edge, and a bus
+        # and a one-camera car (other rigs) sit between the cars
+        car = lambda **kw: ClientSpec(rig="car", n_points=30, **kw)
+        clients = [car(), car(), car(), ClientSpec(rig="bus", n_points=7),
+                   ClientSpec(rig="car", n_points=9, cameras=[1]), car(),
+                   car(), car(seed=77)]
+        cfg = tiny_config(clients=clients)
+        engine = build_engine(cfg)
+        assert engine.clients[-1].seed == 77
+        mc = cfg.model
+        refs = [world.build_client_dataset(c.rig, spec.n_points, c.seed,
+                                           grid=mc.bev_grid,
+                                           extent=mc.world_extent)
+                for c, spec in zip(engine.clients, clients)]
+        for c, ref in zip(engine.clients, refs):
+            ds = c.dataset
+            assert ds.n_train == ref.n_train
+            for got, want in ((ds.views, ref.views), (ds.bev, ref.bev)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+        # each client owns its arrays: a write stays in its client
+        assert all(a.flags.owndata for c in engine.clients
+                   for a in (c.dataset.views, c.dataset.bev))
+        views, bev = engine.clients[2].dataset.train
+        views[...] = -1.0
+        bev[...] = -1.0
+        for idx, (c, ref) in enumerate(zip(engine.clients, refs)):
+            if idx != 2:
+                assert np.array_equal(c.dataset.views, ref.views)
+                assert np.array_equal(c.dataset.bev, ref.bev)
 
 
 class TestRunExperiment:
@@ -303,10 +369,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers", [0, -4])
     @pytest.mark.parametrize("entry", ["run", "sweep"])
     def test_workers_below_one_fail_before_any_dataset(self, entry, workers,
-                                                       tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(experiments, "build_client_dataset",
-                            lambda *a, **k: built.append(a))
+                                                       tmp_path, built):
         out = tmp_path / "o"
         with pytest.raises(ValueError, match="workers must be >= 1"):
             if entry == "run":
@@ -470,11 +533,8 @@ class TestSweep:
         ("topk_retention", [0.5, 0.5]), ("topk_retention", [0.1, 1e-1]),
         ("straggler_ratio", [0.0, 0.2, 0]), ("select_m", [1, 2, 1.0])])
     def test_repeated_value_fails_before_any_run(self, axis, values,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path, built):
         # equal values would write one <axis>_<value> directory twice
-        built = []
-        monkeypatch.setattr(experiments, "build_client_dataset",
-                            lambda *a, **k: built.append(a))
         out = tmp_path / "sw"
         with pytest.raises(ValueError, match=f"{axis} takes each value once"):
             sweep(tiny_config(rounds=2), axis, values, out)
@@ -583,10 +643,7 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [("local_epochs", 0),
                                             ("n_points", 1)])
     def test_client_sizes_exit_1_without_artifacts(
-            self, key, value, tmp_path, capsys, monkeypatch):
-        built = []
-        monkeypatch.setattr(experiments, "build_client_dataset",
-                            lambda *a, **k: built.append(a))
+            self, key, value, tmp_path, capsys, built):
         doc = tiny_config().to_dict()
         doc["clients"][0][key] = value
         cfg_path = tmp_path / "cfg.json"
@@ -598,11 +655,8 @@ class TestCli:
         assert built == [] and not out.exists()
 
     def test_bin_count_without_tokens_exits_1_without_artifacts(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, built):
         # 2 azimuth bins centre at +-90 degrees, outside every 100-degree FoV
-        built = []
-        monkeypatch.setattr(experiments, "build_client_dataset",
-                            lambda *a, **k: built.append(a))
         doc = tiny_config().to_dict()
         doc["model"]["n_azimuth_bins"] = 2
         cfg_path = tmp_path / "cfg.json"
@@ -692,16 +746,14 @@ class TestCli:
             "flipped-byte"])
     def test_cross_eval_rejects_malformed_checkpoint(self, damage, message,
                                                     tmp_path, capsys,
-                                                    monkeypatch):
+                                                    built):
         run = tmp_path / "run"
         run_experiment(tiny_config(rounds=1), run)
+        assert len(built) == 1
+        built.clear()
         bad = tmp_path / "bad.bin"
         bad.write_bytes(damage((run / "checkpoint.bin").read_bytes()))
 
-        def no_dataset(*args, **kwargs):
-            raise AssertionError("a dataset was built")
-
-        monkeypatch.setattr(experiments, "build_client_dataset", no_dataset)
         capsys.readouterr()
         out = tmp_path / "xe"
         code = cli_main(["cross-eval", "--checkpoint", str(bad),
@@ -710,7 +762,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-        assert not out.exists()
+        assert built == [] and not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["model"].update(bogus=1), "unknown model keys"),

@@ -49,10 +49,11 @@ def per_ray_views(scene, rig):
     return views[active]
 
 
-def scalar_scene(rng, extent=16.0):
-    """sample_scene at its default ranges with one scalar draw per value."""
-    lo, hi = world.DEFAULT_N_OBJECTS
-    r_lo, r_hi = world.DEFAULT_RADIUS_RANGE
+def scalar_scene(rng, n_objects=world.DEFAULT_N_OBJECTS, extent=16.0,
+                 radius_range=world.DEFAULT_RADIUS_RANGE):
+    """sample_scene with one scalar `uniform` draw per value."""
+    lo, hi = n_objects
+    r_lo, r_hi = radius_range
     objects = []
     for _ in range(int(rng.integers(lo, hi + 1))):
         x = float(rng.uniform(-extent, extent))
@@ -135,6 +136,27 @@ class TestSampleScene:
         for x, y, r in s.objects:
             assert abs(x) <= 20.0 and abs(y) <= 20.0
             assert 0.5 <= r <= 1.5
+
+    # `low + span * u` is what numpy's `uniform` computes, as long as it is
+    # not compiled into a fused multiply-add; these pin the two together
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"extent": 7.3}, {"radius_range": (0.1, 2.9)},
+        {"n_objects": (0, 0)}, {"n_objects": (0, 8)},
+        {"n_objects": (0, 8), "extent": 5.5, "radius_range": (0.25, 0.3)}])
+    def test_equals_scalar_uniform_draws(self, kwargs):
+        ours = np.random.default_rng(11)
+        reference = np.random.default_rng(11)
+        for _ in range(300):
+            assert sample_scene(ours, **kwargs) == scalar_scene(reference,
+                                                                **kwargs)
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("kwargs", [
+        {"radius_range": (1.0, 0.5)}, {"extent": math.inf},
+        {"radius_range": (0.5, math.inf)}, {"extent": 1e308}])
+    def test_negative_or_infinite_span_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            sample_scene(np.random.default_rng(0), **kwargs)
 
 
 class TestRenderViews:
@@ -425,6 +447,13 @@ class TestClientDataset:
             assert np.shares_memory(train, whole)
             assert np.shares_memory(test, whole)
             np.testing.assert_array_equal(np.concatenate([train, test]), whole)
+
+    def test_client_without_points_rejected_before_any_draw(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(world, "sample_scene", None)
+        with pytest.raises(ValueError, match="n_points must be >= 1"):
+            world.build_client_datasets([(rig_from_preset("car"), 5, 0),
+                                         (rig_from_preset("bus"), 0, 1)])
 
     def test_deterministic(self):
         rig = rig_from_preset("bus")
