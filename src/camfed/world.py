@@ -100,13 +100,35 @@ class Scene:
     extent: float
 
     def __post_init__(self):
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
-        for x, y, r in self.objects:
-            if r <= 0:
-                raise ValueError("object radius must be positive")
-            if abs(x) > self.extent or abs(y) > self.extent:
-                raise ValueError("object center outside world extent")
+        if not 0 < self.extent < math.inf:
+            raise ValueError("extent must be positive and finite")
+        discs = np.array(self.objects, dtype=np.float64).reshape(
+            len(self.objects), 3)
+        _check_discs(*discs.T, True, self.extent)
+
+
+class Discs(NamedTuple):
+    """Scenes as padded disc arrays, each shaped (scenes, discs): the x, y
+    and radius of every disc, and which entries are real discs.
+
+    Padding is a zero-radius disc at the ego: no ray enters it (every ray
+    meets it at distance 0 along), but it holds the ego and any cell
+    centred on the ego, so those tests mask it out.
+    """
+    x: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    real: np.ndarray
+
+
+def _check_discs(x, y, r, real, extent: float) -> None:
+    """Reject a real disc whose radius is not positive and finite or whose
+    centre lies outside the square of half-width `extent`; written so that
+    nan fails every test."""
+    if np.any(real & ~((r > 0.0) & (r < math.inf))):
+        raise ValueError("object radius must be positive and finite")
+    if np.any(real & ~((np.abs(x) <= extent) & (np.abs(y) <= extent))):
+        raise ValueError("object center outside world extent")
 
 
 @dataclass
@@ -147,16 +169,19 @@ def rig_from_preset(name: str, camera_ids=None, n_azimuth_bins: int = 24,
                      n_elevation_bins=n_elevation_bins)
 
 
-def sample_scene(rng: np.random.Generator, n_objects=DEFAULT_N_OBJECTS,
-                 extent: float = DEFAULT_EXTENT,
-                 radius_range=DEFAULT_RADIUS_RANGE) -> Scene:
-    """Draw a scene with a uniform object count in the inclusive range.
+def draw_discs(draws, n_objects=DEFAULT_N_OBJECTS,
+               extent: float = DEFAULT_EXTENT,
+               radius_range=DEFAULT_RADIUS_RANGE) -> Discs:
+    """Draw scenes straight into `Discs` padded to `n_objects[1]` discs (at
+    least one): for each (rng, n_scenes) in `draws`, in order, n_scenes
+    scenes one after another from rng.
 
-    One `integers` call draws the count and one `random` call a u in [0, 1)
-    for the x, y and radius of every object, each mapped by `low + span *
-    u` in float64: the arithmetic `Generator.uniform(low, high)` does on the
-    same draws, so the values and the generator's final state are those of
-    one scalar `uniform` draw each.
+    A scene takes two generator calls: `integers` draws its uniform disc
+    count in the inclusive range, and `random` a u in [0, 1) for the x, y
+    and radius of each disc, mapped by `low + span * u` in float64. That is
+    the arithmetic `Generator.uniform(low, high)` does on the same draws, so
+    the values and the generator's final state are those of one scalar
+    `uniform` draw each.
     """
     if extent <= 0:
         raise ValueError("extent must be positive")
@@ -167,11 +192,34 @@ def sample_scene(rng: np.random.Generator, n_objects=DEFAULT_N_OBJECTS,
     if not (math.isfinite(xy_span) and math.isfinite(r_span)):
         raise ValueError("extent and radius_range must span finite ranges")
     lo, hi = n_objects
-    n = int(rng.integers(lo, hi + 1))
-    objects = tuple((xy_low + xy_span * ux, xy_low + xy_span * uy,
-                     r_low + r_span * ur)
-                    for ux, uy, ur in rng.random((n, 3)).tolist())
-    return Scene(objects=objects, extent=extent)
+    if not 0 <= lo <= hi:
+        raise ValueError("n_objects must be (low, high) with 0 <= low <= high")
+    draws = [(rng, int(n)) for rng, n in draws]
+    u = np.zeros((sum(n for _, n in draws), max(hi, 1), 3))
+    counts = np.empty(len(u), dtype=np.intp)
+    rngs = itertools.chain.from_iterable(itertools.repeat(rng, n)
+                                         for rng, n in draws)
+    for row, rng in enumerate(rngs):
+        counts[row] = k = rng.integers(lo, hi + 1)
+        rng.random(out=u[row, :k])
+    real = np.arange(u.shape[1]) < counts[:, None]
+    x = np.where(real, xy_low + xy_span * u[..., 0], 0.0)
+    y = np.where(real, xy_low + xy_span * u[..., 1], 0.0)
+    r = np.where(real, r_low + r_span * u[..., 2], 0.0)
+    _check_discs(x, y, r, real, extent)
+    return Discs(x, y, r, real)
+
+
+def sample_scene(rng: np.random.Generator, n_objects=DEFAULT_N_OBJECTS,
+                 extent: float = DEFAULT_EXTENT,
+                 radius_range=DEFAULT_RADIUS_RANGE) -> Scene:
+    """Draw a scene with a uniform object count in the inclusive range:
+    `draw_discs` of one scene, as a `Scene`, with the same values and the
+    same generator calls."""
+    x, y, r, real = draw_discs([(rng, 1)], n_objects, extent, radius_range)
+    k = int(real[0].sum())
+    return Scene(objects=tuple(zip(x[0, :k].tolist(), y[0, :k].tolist(),
+                                   r[0, :k].tolist())), extent=extent)
 
 
 def azimuth_bin_angles(n_bins: int) -> np.ndarray:
@@ -232,20 +280,9 @@ def rig_tokens(rig: CameraRig) -> RigTokens:
     return table
 
 
-def _stack(scenes):
-    """A scene as a stack of one, or the sequence of scenes, and which."""
-    one = isinstance(scenes, Scene)
-    return ([scenes] if one else list(scenes)), one
-
-
-def _padded_discs(scenes: list):
-    """(x, y, radius) arrays shaped (scenes, discs), padded to the largest
-    disc count (at least one), and which entries are real discs.
-
-    Padding is a zero-radius disc at the ego: no ray enters it (every ray
-    meets it at distance 0 along), but it holds the ego and any cell
-    centred on the ego, so those tests mask it out.
-    """
+def _padded_discs(scenes: list) -> Discs:
+    """`Discs` of the scenes, padded to the largest disc count (at least
+    one)."""
     counts = [len(s.objects) for s in scenes]
     n = max(counts + [1])
     pad = [(0.0, 0.0, 0.0)]
@@ -253,18 +290,27 @@ def _padded_discs(scenes: list):
                       for s, k in zip(scenes, counts)],
                      dtype=np.float64).reshape(len(scenes), n, 3)
     real = np.arange(n) < np.array(counts, dtype=np.intp)[:, None]
-    return discs[..., 0], discs[..., 1], discs[..., 2], real
+    return Discs(discs[..., 0], discs[..., 1], discs[..., 2], real)
 
 
-def _nearest_hits(scenes: list, ux: np.ndarray, uy: np.ndarray):
+def _as_discs(scenes):
+    """`scenes` as `Discs`, and whether it was one `Scene` (a stack of
+    one); `Discs` pass as they are."""
+    if isinstance(scenes, Discs):
+        return scenes, False
+    one = isinstance(scenes, Scene)
+    return _padded_discs([scenes] if one else list(scenes)), one
+
+
+def _nearest_hits(discs: Discs, ux: np.ndarray, uy: np.ndarray):
     """Entry distance and radius of each scene's nearest disc along each ray
     (ux, uy), both shaped (scenes, rays).
 
     All rays meet all discs of all scenes in one pass. A ray that hits no
     disc gets (inf, 0.0); distance 0.0 means the ego sits inside a disc; of
-    discs at equal distance the first in `scene.objects` wins.
+    discs at equal distance the first in the scene wins.
     """
-    ox, oy, r, real = _padded_discs(scenes)
+    ox, oy, r, real = discs
     ox, oy = ox[:, None, :], oy[:, None, :]          # (scenes, 1, discs)
     along = ux[:, None] * ox + uy[:, None] * oy      # (scenes, rays, discs)
     c2 = ox * ox + oy * oy
@@ -287,7 +333,7 @@ def ray_hit(scene: Scene, bearing_deg: float):
     """
     ux = np.array([math.cos(math.radians(bearing_deg))])
     uy = np.array([math.sin(math.radians(bearing_deg))])
-    d, r = _nearest_hits([scene], ux, uy)
+    d, r = _nearest_hits(_padded_discs([scene]), ux, uy)
     return float(d[0, 0]), float(r[0, 0])
 
 
@@ -304,8 +350,9 @@ N_VIEW_CHANNELS = 4
 
 def render_views(scenes, rig: CameraRig) -> np.ndarray:
     """Ray-cast a scene into an (n_tokens, E, N_VIEW_CHANNELS) feature
-    grid, one row per `rig_tokens` row; a sequence of scenes gets one grid
-    per scene, stacked on a leading axis (a scene is a stack of one).
+    grid, one row per `rig_tokens` row; a sequence of scenes, or `Discs`,
+    gets one grid per scene, stacked on a leading axis (a scene is a stack
+    of one).
 
     The elevation channel stores atan2(-height, d) / (pi/2); the elevation
     bin is chosen from the camera-frame angle atan2(-height, d) - pitch, so
@@ -313,11 +360,11 @@ def render_views(scenes, rig: CameraRig) -> np.ndarray:
     taken per hit because numpy's `arctan2` differs from it in the last bit
     of some values; the rest is the same float64 arithmetic in arrays.
     """
-    stack, one = _stack(scenes)
+    discs, one = _as_discs(scenes)
     tokens = rig_tokens(rig)
-    views = np.zeros((len(stack), len(tokens.camera), rig.n_elevation_bins,
-                      N_VIEW_CHANNELS), dtype=np.float64)
-    dists, radii = _nearest_hits(stack, tokens.ux, tokens.uy)
+    views = np.zeros((len(discs.real), len(tokens.camera),
+                      rig.n_elevation_bins, N_VIEW_CHANNELS), dtype=np.float64)
+    dists, radii = _nearest_hits(discs, tokens.ux, tokens.uy)
     si, ti = np.nonzero(np.isfinite(dists))
     d, radius = dists[si, ti], radii[si, ti]
     cams = tokens.camera[ti]
@@ -359,14 +406,14 @@ def _grid_centers(grid: tuple, extent: float):
 def rasterize_bev(scenes, grid, extent: float) -> np.ndarray:
     """Binary occupancy grid: cell = 1 iff its center lies inside any disc.
 
-    A sequence of scenes gets one grid per scene, stacked on a leading axis
-    (a scene is a stack of one).
+    A sequence of scenes, or `Discs`, gets one grid per scene, stacked on a
+    leading axis (a scene is a stack of one).
     """
     if grid[0] < 4 or grid[1] < 4:
         raise ValueError("grid dims must be >= 4")
-    stack, one = _stack(scenes)
+    discs, one = _as_discs(scenes)
     gx, gy = _grid_centers(tuple(grid), extent)
-    ox, oy, r, real = (a[..., None] for a in _padded_discs(stack))
+    ox, oy, r, real = (a[..., None] for a in discs)
     # a cell's squared distance is its column's dx^2 plus its row's dy^2:
     # the same float64 operations as one cell at a time
     dx2 = (gx[0] - ox) ** 2                        # (scenes, discs, w)
@@ -382,27 +429,19 @@ def rasterize_bev(scenes, grid, extent: float) -> np.ndarray:
 _SCENES_PER_BLOCK = 64
 
 
-def _draw_scenes(specs, extent: float):
-    """The scenes of each (rig, n_points, seed) in `specs`, in order, each
-    client's drawn one after another from its own stream."""
-    for _, n, seed in specs:
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        for _ in range(n):
-            yield sample_scene(rng, extent=extent)
-
-
 def build_client_datasets(specs, grid=(16, 16),
                           extent: float = DEFAULT_EXTENT) -> list:
     """One deterministic dataset per (rig, n_points, seed) in `specs`, in
     order; the first 80% of a client's points are its train split.
 
     Each client draws its scenes one after another from its own stream.
-    Clients on equal rigs are built together: the rig's scenes, client
-    after client, are drawn, cast and rasterized in blocks of at most
-    `_SCENES_PER_BLOCK`, and each block's rows are copied into the arrays
-    of the clients they belong to. A scene's rows do not depend on the
-    other scenes of its block, so every dataset is the one its client would
-    get alone.
+    Clients on equal rigs are built together: `draw_discs` draws the rig's
+    scenes, client after client, straight into one set of padded disc
+    arrays, which are cast and rasterized in blocks of at most
+    `_SCENES_PER_BLOCK` rows; each block's rows are copied into the arrays
+    of the clients they belong to. No `Scene` is made and nothing is padded
+    again. A scene's rows do not depend on the other scenes of its block,
+    so every dataset is the one its client would get alone.
     """
     specs = [(rig, int(n), int(seed)) for rig, n, seed in specs]
     if any(n < 1 for _, n, _ in specs):
@@ -416,14 +455,16 @@ def build_client_datasets(specs, grid=(16, 16),
     for idx, (rig, _, _) in enumerate(specs):
         groups.setdefault(rig, []).append(idx)
     for rig, members in groups.items():
-        scenes = _draw_scenes([specs[idx] for idx in members], extent)
+        discs = draw_discs(
+            [(np.random.default_rng(np.random.SeedSequence([specs[idx][2]])),
+              specs[idx][1]) for idx in members], extent=extent)
         # rows [start, end) of the rig's scenes are one client's
         ends = list(itertools.accumulate(specs[idx][1] for idx in members))
         for lo in range(0, ends[-1], _SCENES_PER_BLOCK):
-            block = list(itertools.islice(scenes, _SCENES_PER_BLOCK))
+            hi = min(lo + _SCENES_PER_BLOCK, ends[-1])
+            block = Discs(*(a[lo:hi] for a in discs))
             views = render_views(block, rig)
             bev = rasterize_bev(block, grid, extent)
-            hi = lo + len(block)
             for idx, start, end in zip(members, [0] + ends, ends):
                 a, b = max(lo, start), min(hi, end)
                 if a < b:

@@ -159,6 +159,75 @@ class TestSampleScene:
             sample_scene(np.random.default_rng(0), **kwargs)
 
 
+class TestDrawDiscs:
+    # the build draws (1, 5); the public API allows any range
+    @pytest.mark.parametrize("n_objects", [(0, 0), (3, 3), (1, 5)])
+    def test_equals_successive_sample_scenes(self, n_objects):
+        drawn, sampled = np.random.default_rng(13), np.random.default_rng(13)
+        x, y, r, real = world.draw_discs([(drawn, 40)], n_objects, 9.0,
+                                         (0.2, 2.0))
+        width = max(n_objects[1], 1)
+        assert x.shape == y.shape == r.shape == real.shape == (40, width)
+        for row in range(40):
+            scene = sample_scene(sampled, n_objects, 9.0, (0.2, 2.0))
+            k = len(scene.objects)
+            assert real[row].tolist() == [True] * k + [False] * (width - k)
+            assert list(zip(x[row, :k].tolist(), y[row, :k].tolist(),
+                            r[row, :k].tolist())) == list(scene.objects)
+            # padding is the zero-radius disc at the ego
+            assert not (x[row, k:].any() or y[row, k:].any()
+                        or r[row, k:].any())
+        assert drawn.bit_generator.state == sampled.bit_generator.state
+
+    def test_streams_are_drawn_one_after_another(self):
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        alone = [world.draw_discs([(np.random.default_rng(s), n)])
+                 for s, n in ((1, 3), (2, 0), (3, 5))]
+        together = world.draw_discs(zip(rngs, (3, 0, 5)))
+        for i, field in enumerate(together):
+            np.testing.assert_array_equal(
+                field, np.concatenate([discs[i] for discs in alone]))
+        assert rngs[1].bit_generator.state == \
+            np.random.default_rng(2).bit_generator.state
+
+    def test_one_check_per_draw(self):
+        # a zero radius fails the draw, but only once a disc is drawn
+        with pytest.raises(ValueError, match="radius must be positive"):
+            world.draw_discs([(np.random.default_rng(0), 9)], (0, 2),
+                             radius_range=(0.0, 0.0))
+        empty = world.draw_discs([(np.random.default_rng(0), 9)], (0, 0),
+                                 radius_range=(0.0, 0.0))
+        assert not empty.real.any()
+
+    @pytest.mark.parametrize("n_objects", [(2, 1), (-1, 3)])
+    def test_bad_count_range_rejected(self, n_objects):
+        with pytest.raises(ValueError, match="n_objects"):
+            world.draw_discs([(np.random.default_rng(0), 1)], n_objects)
+
+
+class TestScene:
+    # a nan or inf fails every ordered comparison, so each position is
+    # checked on its own: (x, y, radius, extent)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_value_rejected(self, position, bad):
+        values = [1.0, -2.0, 0.5, 16.0]
+        values[position] = bad
+        *disc, extent = values
+        with pytest.raises(ValueError):
+            Scene(objects=(tuple(disc),), extent=extent)
+
+    @pytest.mark.parametrize("disc", [(0.0, 0.0, 0.0), (0.0, 0.0, -1.0),
+                                      (16.5, 0.0, 1.0), (0.0, -16.5, 1.0)])
+    def test_bad_disc_rejected(self, disc):
+        with pytest.raises(ValueError):
+            Scene(objects=((1.0, 1.0, 1.0), disc), extent=16.0)
+
+    def test_edges_accepted(self):
+        scene = Scene(objects=((16.0, -16.0, 1e-9),), extent=16.0)
+        assert scene.objects == ((16.0, -16.0, 1e-9),)
+
+
 class TestRenderViews:
     def test_empty_scene_all_zero(self):
         rig = rig_from_preset("car")
@@ -248,6 +317,20 @@ class TestRenderViews:
         for scene, views in zip(scenes, stack):
             np.testing.assert_array_equal(views, per_ray_views(scene, rig))
         assert render_views([], rig).shape == (0,) + stack.shape[1:]
+
+    def test_drawn_discs_cast_and_rasterize_as_their_scenes(self):
+        # a drawn block is padded to 8 discs, a lone scene to its own count
+        rig = rig_from_preset("bus")
+        discs = world.draw_discs([(np.random.default_rng(6), 20)], (0, 8),
+                                 6.0, (0.5, 4.0))
+        views = render_views(discs, rig)
+        bev = rasterize_bev(discs, (9, 7), 6.0)
+        rng = np.random.default_rng(6)
+        for row in range(20):
+            scene = sample_scene(rng, (0, 8), 6.0, (0.5, 4.0))
+            np.testing.assert_array_equal(views[row], per_ray_views(scene, rig))
+            np.testing.assert_array_equal(bev[row],
+                                          per_cell_raster(scene, (9, 7), 6.0))
 
     def test_in_fov_bins_closed_edge(self):
         # 24 bins have centers at +-7.5, +-22.5, +-37.5, ...; a 75 degree
@@ -450,7 +533,7 @@ class TestClientDataset:
 
     def test_client_without_points_rejected_before_any_draw(self,
                                                             monkeypatch):
-        monkeypatch.setattr(world, "sample_scene", None)
+        monkeypatch.setattr(world, "draw_discs", None)
         with pytest.raises(ValueError, match="n_points must be >= 1"):
             world.build_client_datasets([(rig_from_preset("car"), 5, 0),
                                          (rig_from_preset("bus"), 0, 1)])
