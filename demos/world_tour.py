@@ -12,8 +12,8 @@ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
 import numpy as np
 
 from camfed.masking import amcm_mask
-from camfed.world import (Scene, rasterize_bev, render_views, rig_from_preset,
-                          sample_scene)
+from camfed.world import (discs_of, draw_discs, rasterize_bev, render_views,
+                          rig_from_preset)
 
 
 def ascii_grid(grid, chars=".#"):
@@ -30,11 +30,11 @@ def main():
               f"{[c.yaw for c in rig.cameras]}")
 
     print("\n=== One scene, three vantage points ===")
-    scene = Scene(objects=((6.0, 0.0, 1.2), (-4.0, 5.0, 1.0),
-                           (2.0, -8.0, 1.4)), extent=16.0)
-    print(f"objects (x, y, radius): {scene.objects}")
+    scene = ((6.0, 0.0, 1.2), (-4.0, 5.0, 1.0), (2.0, -8.0, 1.4))
+    discs = discs_of([scene], extent=16.0)
+    print(f"objects (x, y, radius): {scene}")
     for name in ("car", "bus", "truck"):
-        views = render_views(scene, rig_from_preset(name))
+        [views] = render_views(discs, rig_from_preset(name))
         hits = int(views[..., 0].sum())
         elev = views[..., 2][views[..., 0] > 0]
         print(f"{name:>8}: {hits} ray hits, elevation channel range "
@@ -42,7 +42,7 @@ def main():
               "(same scene, different mounting height)")
 
     print("\n=== BEV ground truth (16x16, 32 m square) ===")
-    print(ascii_grid(rasterize_bev(scene, (16, 16), 16.0)))
+    print(ascii_grid(rasterize_bev(discs, (16, 16), 16.0)[0]))
 
     print("\n=== FoV query mask: full rig vs front camera only ===")
     full = amcm_mask(rig_from_preset("car"), (16, 16), 16.0)
@@ -52,9 +52,9 @@ def main():
     print(ascii_grid(mono, chars=". "))
 
     print("\n=== Determinism ===")
-    rng1 = np.random.default_rng(7)
-    rng2 = np.random.default_rng(7)
-    assert sample_scene(rng1) == sample_scene(rng2)
+    first = draw_discs([(np.random.default_rng(7), 1)])
+    second = draw_discs([(np.random.default_rng(7), 1)])
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
     print("same seed, same scene: ok")
 
 

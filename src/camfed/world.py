@@ -3,9 +3,10 @@
 A client's data heterogeneity has two engineered axes: camera pose (height
 and pitch shift where hits land on the elevation axis of the view features)
 and camera count (fewer cameras leave more azimuth coverage empty). Scenes
-are discs on a flat ground plane; views are ray-cast feature grids rather
-than images, which keeps everything differentiable-model-sized while
-preserving the geometry dependence.
+are discs on a flat ground plane, always handled as a stack (`Discs`);
+views are ray-cast feature grids rather than images, which keeps
+everything differentiable-model-sized while preserving the geometry
+dependence.
 
 Conventions
 -----------
@@ -93,23 +94,11 @@ class CameraRig:
         return len(self.cameras)
 
 
-@dataclass(frozen=True)
-class Scene:
-    """Disc obstacles (x, y, radius) inside a square of half-width `extent`."""
-    objects: tuple
-    extent: float
-
-    def __post_init__(self):
-        if not 0 < self.extent < math.inf:
-            raise ValueError("extent must be positive and finite")
-        discs = np.array(self.objects, dtype=np.float64).reshape(
-            len(self.objects), 3)
-        _check_discs(*discs.T, True, self.extent)
-
-
 class Discs(NamedTuple):
-    """Scenes as padded disc arrays, each shaped (scenes, discs): the x, y
-    and radius of every disc, and which entries are real discs.
+    """A stack of scenes, the one scene type: disc obstacles as padded
+    arrays, each shaped (scenes, discs), holding the x, y and radius of
+    every disc and which entries are real discs. `draw_discs` draws them
+    and `discs_of` writes them out.
 
     Padding is a zero-radius disc at the ego: no ray enters it (every ray
     meets it at distance 0 along), but it holds the ego and any cell
@@ -210,16 +199,25 @@ def draw_discs(draws, n_objects=DEFAULT_N_OBJECTS,
     return Discs(x, y, r, real)
 
 
-def sample_scene(rng: np.random.Generator, n_objects=DEFAULT_N_OBJECTS,
-                 extent: float = DEFAULT_EXTENT,
-                 radius_range=DEFAULT_RADIUS_RANGE) -> Scene:
-    """Draw a scene with a uniform object count in the inclusive range:
-    `draw_discs` of one scene, as a `Scene`, with the same values and the
-    same generator calls."""
-    x, y, r, real = draw_discs([(rng, 1)], n_objects, extent, radius_range)
-    k = int(real[0].sum())
-    return Scene(objects=tuple(zip(x[0, :k].tolist(), y[0, :k].tolist(),
-                                   r[0, :k].tolist())), extent=extent)
+def discs_of(scenes, extent: float) -> Discs:
+    """Written-out scenes as `Discs`, each scene a sequence of (x, y,
+    radius), padded to the largest disc count (at least one).
+
+    An extent that is not positive and finite, and a disc with a radius
+    that is not positive and finite or a centre outside the square of
+    half-width `extent`, are rejected.
+    """
+    if not 0 < extent < math.inf:
+        raise ValueError("extent must be positive and finite")
+    scenes = [list(s) for s in scenes]
+    counts = np.array([len(s) for s in scenes], dtype=np.intp)
+    n = int(counts.max(initial=1))
+    x, y, r = np.moveaxis(np.array(
+        [s + [(0.0, 0.0, 0.0)] * (n - len(s)) for s in scenes],
+        dtype=np.float64).reshape(len(scenes), n, 3), -1, 0)
+    real = np.arange(n) < counts[:, None]
+    _check_discs(x, y, r, real, extent)
+    return Discs(x, y, r, real)
 
 
 def azimuth_bin_angles(n_bins: int) -> np.ndarray:
@@ -280,28 +278,6 @@ def rig_tokens(rig: CameraRig) -> RigTokens:
     return table
 
 
-def _padded_discs(scenes: list) -> Discs:
-    """`Discs` of the scenes, padded to the largest disc count (at least
-    one)."""
-    counts = [len(s.objects) for s in scenes]
-    n = max(counts + [1])
-    pad = [(0.0, 0.0, 0.0)]
-    discs = np.array([list(s.objects) + pad * (n - k)
-                      for s, k in zip(scenes, counts)],
-                     dtype=np.float64).reshape(len(scenes), n, 3)
-    real = np.arange(n) < np.array(counts, dtype=np.intp)[:, None]
-    return Discs(discs[..., 0], discs[..., 1], discs[..., 2], real)
-
-
-def _as_discs(scenes):
-    """`scenes` as `Discs`, and whether it was one `Scene` (a stack of
-    one); `Discs` pass as they are."""
-    if isinstance(scenes, Discs):
-        return scenes, False
-    one = isinstance(scenes, Scene)
-    return _padded_discs([scenes] if one else list(scenes)), one
-
-
 def _nearest_hits(discs: Discs, ux: np.ndarray, uy: np.ndarray):
     """Entry distance and radius of each scene's nearest disc along each ray
     (ux, uy), both shaped (scenes, rays).
@@ -325,18 +301,6 @@ def _nearest_hits(discs: Discs, ux: np.ndarray, uy: np.ndarray):
     return dist, np.where(np.isfinite(dist), radius, 0.0)
 
 
-def ray_hit(scene: Scene, bearing_deg: float):
-    """Nearest disc along the bearing: (entry distance, disc radius).
-
-    Returns (inf, 0.0) when no disc is hit; distance 0.0 when the ego sits
-    inside a disc.
-    """
-    ux = np.array([math.cos(math.radians(bearing_deg))])
-    uy = np.array([math.sin(math.radians(bearing_deg))])
-    d, r = _nearest_hits(_padded_discs([scene]), ux, uy)
-    return float(d[0, 0]), float(r[0, 0])
-
-
 def elevation_bin(elev_cam_deg, n_bins: int) -> np.ndarray:
     """Row of each camera-frame elevation (degrees) among `n_bins` equal
     bins over ELEVATION_RANGE; angles outside it go to the nearest end."""
@@ -348,11 +312,10 @@ def elevation_bin(elev_cam_deg, n_bins: int) -> np.ndarray:
 N_VIEW_CHANNELS = 4
 
 
-def render_views(scenes, rig: CameraRig) -> np.ndarray:
-    """Ray-cast a scene into an (n_tokens, E, N_VIEW_CHANNELS) feature
-    grid, one row per `rig_tokens` row; a sequence of scenes, or `Discs`,
-    gets one grid per scene, stacked on a leading axis (a scene is a stack
-    of one).
+def render_views(discs: Discs, rig: CameraRig) -> np.ndarray:
+    """Ray-cast each scene into an (n_tokens, E, N_VIEW_CHANNELS) feature
+    grid, one row per `rig_tokens` row: (scenes, n_tokens, E,
+    N_VIEW_CHANNELS).
 
     The elevation channel stores atan2(-height, d) / (pi/2); the elevation
     bin is chosen from the camera-frame angle atan2(-height, d) - pitch, so
@@ -360,7 +323,6 @@ def render_views(scenes, rig: CameraRig) -> np.ndarray:
     taken per hit because numpy's `arctan2` differs from it in the last bit
     of some values; the rest is the same float64 arithmetic in arrays.
     """
-    discs, one = _as_discs(scenes)
     tokens = rig_tokens(rig)
     views = np.zeros((len(discs.real), len(tokens.camera),
                       rig.n_elevation_bins, N_VIEW_CHANNELS), dtype=np.float64)
@@ -379,11 +341,13 @@ def render_views(scenes, rig: CameraRig) -> np.ndarray:
         [np.ones_like(d), 1.0 / (1.0 + d),
          np.radians(elev_world) / (math.pi / 2.0),
          np.minimum(ratio, 1.0)], axis=1)
-    return views[0] if one else views
+    return views
 
 
-def cell_centers(grid, extent: float):
-    """(gx, gy): x and y of every BEV cell center, each shaped `grid`.
+@functools.lru_cache(maxsize=64)
+def cell_centers(grid: tuple, extent: float):
+    """(gx, gy): x and y of every BEV cell center, each shaped `grid` (a
+    tuple), as read-only arrays computed once per (grid, extent).
 
     Row i -> y, column j -> x, ego at the grid center; the rasterizer, the
     FoV mask and the model's query-cell features all share this layout.
@@ -391,28 +355,18 @@ def cell_centers(grid, extent: float):
     h, w = grid
     ys = -extent + (np.arange(h) + 0.5) * (2.0 * extent / h)
     xs = -extent + (np.arange(w) + 0.5) * (2.0 * extent / w)
-    return np.meshgrid(xs, ys)
-
-
-@functools.lru_cache(maxsize=64)
-def _grid_centers(grid: tuple, extent: float):
-    """`cell_centers`, computed once per (grid, extent) and read-only."""
-    centers = cell_centers(grid, extent)
+    centers = np.meshgrid(xs, ys)
     for a in centers:
         a.setflags(write=False)
     return centers
 
 
-def rasterize_bev(scenes, grid, extent: float) -> np.ndarray:
-    """Binary occupancy grid: cell = 1 iff its center lies inside any disc.
-
-    A sequence of scenes, or `Discs`, gets one grid per scene, stacked on a
-    leading axis (a scene is a stack of one).
-    """
+def rasterize_bev(discs: Discs, grid, extent: float) -> np.ndarray:
+    """Binary occupancy grids, (scenes, h, w): a cell is 1 iff its center
+    lies inside one of the scene's discs."""
     if grid[0] < 4 or grid[1] < 4:
         raise ValueError("grid dims must be >= 4")
-    discs, one = _as_discs(scenes)
-    gx, gy = _grid_centers(tuple(grid), extent)
+    gx, gy = cell_centers(tuple(grid), extent)
     ox, oy, r, real = (a[..., None] for a in discs)
     # a cell's squared distance is its column's dx^2 plus its row's dy^2:
     # the same float64 operations as one cell at a time
@@ -420,8 +374,7 @@ def rasterize_bev(scenes, grid, extent: float) -> np.ndarray:
     dy2 = (gy[:, 0] - oy) ** 2                     # (scenes, discs, h)
     inside = dy2[..., :, None] + dx2[..., None, :] <= (r * r)[..., None]
     inside &= real[..., None]
-    out = inside.any(axis=1).astype(np.float64)
-    return out[0] if one else out
+    return inside.any(axis=1).astype(np.float64)
 
 
 # scenes per ray cast and raster in `build_client_datasets`: bounds the
@@ -439,9 +392,9 @@ def build_client_datasets(specs, grid=(16, 16),
     scenes, client after client, straight into one set of padded disc
     arrays, which are cast and rasterized in blocks of at most
     `_SCENES_PER_BLOCK` rows; each block's rows are copied into the arrays
-    of the clients they belong to. No `Scene` is made and nothing is padded
-    again. A scene's rows do not depend on the other scenes of its block,
-    so every dataset is the one its client would get alone.
+    of the clients they belong to, so nothing is padded twice. A scene's
+    rows do not depend on the other scenes of its block, so every dataset
+    is the one its client would get alone.
     """
     specs = [(rig, int(n), int(seed)) for rig, n, seed in specs]
     if any(n < 1 for _, n, _ in specs):

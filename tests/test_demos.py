@@ -1,6 +1,7 @@
 """The demos import cleanly and use only engine attributes that exist.
 
-No demo's main() runs here: they take minutes. Instead every demo module is
+Of the demos' main()s only world_tour's runs here, in a fraction of a
+second: the others train and take minutes. Instead every demo module is
 imported, and two stdlib-`ast` passes check the attributes a demo reads only
 when it runs: those read on a name bound to a `build_engine(...)` result,
 against a real FederationEngine, and those read on a camfed module bound by
@@ -109,6 +110,15 @@ def test_demo_no_vehicle_floors_score_all_negative_logits(engine):
     assert demos["federated_comparison"].no_vehicle_ious(engine) == want
     assert demos["network_effects"].no_vehicle_floor(engine) == np.mean(
         list(want.values()))
+
+
+def test_world_tour_runs(capsys):
+    [path] = [p for p in DEMOS if p.stem == "world_tour"]
+    load_demo(path).main()
+    out = capsys.readouterr().out
+    assert "same seed, same scene: ok" in out
+    # one scene, three rigs, each with some ray hits
+    assert all(f"{name}: " in out for name in ("car", "bus", "truck"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from camfed import world
-from camfed.world import (CameraPose, CameraRig, Scene, azimuth_bin_angles,
-                          build_client_dataset, in_fov_bins,
-                          pose_rotation, rasterize_bev, ray_hit, render_views,
-                          rig_from_preset, rig_tokens, sample_scene,
-                          wrap_angle)
+from camfed.world import (CameraPose, CameraRig, azimuth_bin_angles,
+                          build_client_dataset, cell_centers, discs_of,
+                          draw_discs, in_fov_bins, pose_rotation,
+                          rasterize_bev, render_views, rig_from_preset,
+                          rig_tokens, wrap_angle)
 
 
 def per_ray_views(scene, rig):
-    """render_views one ray and one disc at a time, in scalar arithmetic:
-    the full (L, A, E, C) grid, gathered by in-FoV bins."""
+    """render_views of one scene, a list of (x, y, radius) discs, one ray
+    and one disc at a time, in scalar arithmetic: the full (L, A, E, C)
+    grid, gathered by in-FoV bins."""
     n_a = rig.n_azimuth_bins
     views = np.zeros((len(rig), n_a, rig.n_elevation_bins, 4))
     active = np.stack([in_fov_bins(cam, n_a) for cam in rig.cameras])
@@ -24,7 +25,7 @@ def per_ray_views(scene, rig):
             ux = math.cos(math.radians(bearing))
             uy = math.sin(math.radians(bearing))
             d, radius = math.inf, 0.0
-            for ox, oy, r in scene.objects:
+            for ox, oy, r in scene:
                 along = ox * ux + oy * uy
                 c2 = ox * ox + oy * oy
                 perp2 = c2 - along * along
@@ -51,7 +52,8 @@ def per_ray_views(scene, rig):
 
 def scalar_scene(rng, n_objects=world.DEFAULT_N_OBJECTS, extent=16.0,
                  radius_range=world.DEFAULT_RADIUS_RANGE):
-    """sample_scene with one scalar `uniform` draw per value."""
+    """One scene of `draw_discs`, as a list of (x, y, radius) discs, with
+    one scalar `uniform` draw per value."""
     lo, hi = n_objects
     r_lo, r_hi = radius_range
     objects = []
@@ -60,11 +62,19 @@ def scalar_scene(rng, n_objects=world.DEFAULT_N_OBJECTS, extent=16.0,
         y = float(rng.uniform(-extent, extent))
         r = float(rng.uniform(r_lo, r_hi))
         objects.append((x, y, r))
-    return Scene(objects=tuple(objects), extent=extent)
+    return objects
+
+
+def scene_of(discs, row):
+    """Row `row` of `discs` as a list of its real (x, y, radius) discs."""
+    keep = discs.real[row]
+    return list(zip(discs.x[row, keep].tolist(), discs.y[row, keep].tolist(),
+                    discs.r[row, keep].tolist()))
 
 
 def per_cell_raster(scene, grid, extent):
-    """rasterize_bev one cell and one disc at a time."""
+    """rasterize_bev of one scene, a list of (x, y, radius) discs, one cell
+    and one disc at a time."""
     h, w = grid
     out = np.zeros(grid)
     for i in range(h):
@@ -72,7 +82,7 @@ def per_cell_raster(scene, grid, extent):
         for j in range(w):
             x = -extent + (j + 0.5) * (2.0 * extent / w)
             out[i, j] = any((x - ox) * (x - ox) + (y - oy) * (y - oy) <= r * r
-                            for ox, oy, r in scene.objects)
+                            for ox, oy, r in scene)
     return out
 
 
@@ -120,35 +130,50 @@ class TestRigPresets:
                 CameraRig((CameraPose(2.0),), **bins)
 
 
-class TestSampleScene:
+class TestDrawDiscs:
     def test_deterministic(self):
-        a = sample_scene(np.random.default_rng(7))
-        b = sample_scene(np.random.default_rng(7))
-        assert a == b
+        a = draw_discs([(np.random.default_rng(7), 5)])
+        b = draw_discs([(np.random.default_rng(7), 5)])
+        for field_a, field_b in zip(a, b):
+            np.testing.assert_array_equal(field_a, field_b)
 
     def test_empty_range(self):
-        s = sample_scene(np.random.default_rng(0), n_objects=(0, 0))
-        assert s.objects == ()
+        discs = draw_discs([(np.random.default_rng(0), 4)], n_objects=(0, 0))
+        assert discs.real.shape == (4, 1) and not discs.real.any()
 
     def test_bounds(self):
-        s = sample_scene(np.random.default_rng(1), n_objects=(3, 3), extent=20.0)
-        assert len(s.objects) == 3
-        for x, y, r in s.objects:
-            assert abs(x) <= 20.0 and abs(y) <= 20.0
-            assert 0.5 <= r <= 1.5
+        discs = draw_discs([(np.random.default_rng(1), 20)], n_objects=(3, 3),
+                           extent=20.0)
+        assert discs.real.shape == (20, 3) and discs.real.all()
+        assert np.all((np.abs(discs.x) <= 20.0) & (np.abs(discs.y) <= 20.0))
+        assert np.all((discs.r >= 0.5) & (discs.r <= 1.5))
 
     # `low + span * u` is what numpy's `uniform` computes, as long as it is
-    # not compiled into a fused multiply-add; these pin the two together
+    # not compiled into a fused multiply-add; these pin the two together,
+    # row by row, padding and generator state included. The build draws
+    # (1, 5); the public API allows any range.
     @pytest.mark.parametrize("kwargs", [
         {}, {"extent": 7.3}, {"radius_range": (0.1, 2.9)},
         {"n_objects": (0, 0)}, {"n_objects": (0, 8)},
-        {"n_objects": (0, 8), "extent": 5.5, "radius_range": (0.25, 0.3)}])
+        {"n_objects": (0, 8), "extent": 5.5, "radius_range": (0.25, 0.3)},
+        {"n_objects": (0, 0), "extent": 9.0, "radius_range": (0.2, 2.0)},
+        {"n_objects": (3, 3), "extent": 9.0, "radius_range": (0.2, 2.0)},
+        {"n_objects": (1, 5), "extent": 9.0, "radius_range": (0.2, 2.0)}])
     def test_equals_scalar_uniform_draws(self, kwargs):
         ours = np.random.default_rng(11)
         reference = np.random.default_rng(11)
-        for _ in range(300):
-            assert sample_scene(ours, **kwargs) == scalar_scene(reference,
-                                                                **kwargs)
+        discs = draw_discs([(ours, 300)], **kwargs)
+        width = max(kwargs.get("n_objects", world.DEFAULT_N_OBJECTS)[1], 1)
+        assert all(a.shape == (300, width) for a in discs)
+        for row in range(300):
+            scene = scalar_scene(reference, **kwargs)
+            k = len(scene)
+            assert discs.real[row].tolist() == [True] * k + [False] * (
+                width - k)
+            assert scene_of(discs, row) == scene
+            # padding is the zero-radius disc at the ego
+            assert not (discs.x[row, k:].any() or discs.y[row, k:].any()
+                        or discs.r[row, k:].any())
         assert ours.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("kwargs", [
@@ -156,34 +181,13 @@ class TestSampleScene:
         {"radius_range": (0.5, math.inf)}, {"extent": 1e308}])
     def test_negative_or_infinite_span_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            sample_scene(np.random.default_rng(0), **kwargs)
-
-
-class TestDrawDiscs:
-    # the build draws (1, 5); the public API allows any range
-    @pytest.mark.parametrize("n_objects", [(0, 0), (3, 3), (1, 5)])
-    def test_equals_successive_sample_scenes(self, n_objects):
-        drawn, sampled = np.random.default_rng(13), np.random.default_rng(13)
-        x, y, r, real = world.draw_discs([(drawn, 40)], n_objects, 9.0,
-                                         (0.2, 2.0))
-        width = max(n_objects[1], 1)
-        assert x.shape == y.shape == r.shape == real.shape == (40, width)
-        for row in range(40):
-            scene = sample_scene(sampled, n_objects, 9.0, (0.2, 2.0))
-            k = len(scene.objects)
-            assert real[row].tolist() == [True] * k + [False] * (width - k)
-            assert list(zip(x[row, :k].tolist(), y[row, :k].tolist(),
-                            r[row, :k].tolist())) == list(scene.objects)
-            # padding is the zero-radius disc at the ego
-            assert not (x[row, k:].any() or y[row, k:].any()
-                        or r[row, k:].any())
-        assert drawn.bit_generator.state == sampled.bit_generator.state
+            draw_discs([(np.random.default_rng(0), 1)], **kwargs)
 
     def test_streams_are_drawn_one_after_another(self):
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-        alone = [world.draw_discs([(np.random.default_rng(s), n)])
+        alone = [draw_discs([(np.random.default_rng(s), n)])
                  for s, n in ((1, 3), (2, 0), (3, 5))]
-        together = world.draw_discs(zip(rngs, (3, 0, 5)))
+        together = draw_discs(zip(rngs, (3, 0, 5)))
         for i, field in enumerate(together):
             np.testing.assert_array_equal(
                 field, np.concatenate([discs[i] for discs in alone]))
@@ -193,19 +197,19 @@ class TestDrawDiscs:
     def test_one_check_per_draw(self):
         # a zero radius fails the draw, but only once a disc is drawn
         with pytest.raises(ValueError, match="radius must be positive"):
-            world.draw_discs([(np.random.default_rng(0), 9)], (0, 2),
-                             radius_range=(0.0, 0.0))
-        empty = world.draw_discs([(np.random.default_rng(0), 9)], (0, 0),
-                                 radius_range=(0.0, 0.0))
+            draw_discs([(np.random.default_rng(0), 9)], (0, 2),
+                       radius_range=(0.0, 0.0))
+        empty = draw_discs([(np.random.default_rng(0), 9)], (0, 0),
+                           radius_range=(0.0, 0.0))
         assert not empty.real.any()
 
     @pytest.mark.parametrize("n_objects", [(2, 1), (-1, 3)])
     def test_bad_count_range_rejected(self, n_objects):
         with pytest.raises(ValueError, match="n_objects"):
-            world.draw_discs([(np.random.default_rng(0), 1)], n_objects)
+            draw_discs([(np.random.default_rng(0), 1)], n_objects)
 
 
-class TestScene:
+class TestDiscsOf:
     # a nan or inf fails every ordered comparison, so each position is
     # checked on its own: (x, y, radius, extent)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -215,35 +219,63 @@ class TestScene:
         values[position] = bad
         *disc, extent = values
         with pytest.raises(ValueError):
-            Scene(objects=(tuple(disc),), extent=extent)
+            discs_of([[tuple(disc)]], extent)
 
     @pytest.mark.parametrize("disc", [(0.0, 0.0, 0.0), (0.0, 0.0, -1.0),
                                       (16.5, 0.0, 1.0), (0.0, -16.5, 1.0)])
     def test_bad_disc_rejected(self, disc):
+        # in any scene of the stack, after a good disc
         with pytest.raises(ValueError):
-            Scene(objects=((1.0, 1.0, 1.0), disc), extent=16.0)
+            discs_of([[(2.0, 2.0, 1.0)], [(1.0, 1.0, 1.0), disc]], 16.0)
+
+    @pytest.mark.parametrize("extent", [0.0, -1.0])
+    def test_non_positive_extent_rejected(self, extent):
+        with pytest.raises(ValueError, match="extent"):
+            discs_of([[]], extent)
 
     def test_edges_accepted(self):
-        scene = Scene(objects=((16.0, -16.0, 1e-9),), extent=16.0)
-        assert scene.objects == ((16.0, -16.0, 1e-9),)
+        discs = discs_of([[(16.0, -16.0, 1e-9)]], 16.0)
+        assert scene_of(discs, 0) == [(16.0, -16.0, 1e-9)]
+
+    def test_padded_to_the_largest_disc_count(self):
+        scenes = [[], [(1.0, 2.0, 0.5)], [(3.0, 0.0, 1.0), (-1.0, 4.0, 0.7),
+                                          (0.0, -5.0, 2.0)]]
+        discs = discs_of(scenes, 16.0)
+        assert all(a.shape == (3, 3) for a in discs)
+        assert discs.real.sum(axis=1).tolist() == [0, 1, 3]
+        for row, scene in enumerate(scenes):
+            assert scene_of(discs, row) == scene
+        # padding is the zero-radius disc at the ego
+        assert not (discs.x[~discs.real].any() or discs.y[~discs.real].any()
+                    or discs.r[~discs.real].any())
+        # at least one disc wide, even when no scene has one
+        assert discs_of([[], []], 16.0).real.shape == (2, 1)
+
+    def test_empty_stack(self):
+        rig = rig_from_preset("car", [1, 4])
+        discs = discs_of([], 16.0)
+        assert discs.real.shape == (0, 1)
+        assert render_views(discs, rig).shape == (
+            0, len(rig_tokens(rig).camera), rig.n_elevation_bins, 4)
+        assert rasterize_bev(discs, (5, 6), 16.0).shape == (0, 5, 6)
 
 
 class TestRenderViews:
     def test_empty_scene_all_zero(self):
         rig = rig_from_preset("car")
-        views = render_views(Scene(objects=(), extent=16.0), rig)
+        views = render_views(discs_of([[]], 16.0), rig)
         # 24 bins 15 degrees apart: six per 100-degree camera are tokens
-        assert views.shape == (4 * 6, 4, 4)
+        assert views.shape == (1, 4 * 6, 4, 4)
         assert np.all(views == 0.0)
 
     def test_single_object_car_vs_bus(self):
         # object dead ahead: presence/distance agree between rigs, elevation
         # differs because the mounting heights differ
-        d_center = 6.0
-        scene = Scene(objects=((d_center, 0.0, 1.0),), extent=16.0)
+        d_center, radius = 6.0, 1.0
+        discs = discs_of([[(d_center, 0.0, radius)]], 16.0)
         car_rig = rig_from_preset("car", camera_ids=[1])
-        car = render_views(scene, car_rig)
-        bus = render_views(scene, rig_from_preset("bus", camera_ids=[1]))
+        [car] = render_views(discs, car_rig)
+        [bus] = render_views(discs, rig_from_preset("bus", camera_ids=[1]))
         # closed-form oracle for the two forward-most bins (phi = +-2.5 deg
         # falls outside bin centers for A=24; nearest hits are +-7.5 deg)
         assert np.array_equal(car[..., 0].sum(axis=1), bus[..., 0].sum(axis=1))
@@ -254,7 +286,10 @@ class TestRenderViews:
         bins = np.flatnonzero(in_fov_bins(car_rig.cameras[0], 24))
         for ti in np.nonzero(hit)[0]:
             phi = math.radians(azimuth_bin_angles(24)[bins[ti]])
-            d, _ = ray_hit(scene, math.degrees(phi))
+            # entry distance along the ray: the centre's projection less
+            # the half chord at its perpendicular offset
+            d = (d_center * math.cos(phi)
+                 - math.sqrt(radius ** 2 - (d_center * math.sin(phi)) ** 2))
             for h_cam, v in ((1.8, car), (3.2, bus)):
                 expected = math.atan2(-h_cam, d) / (math.pi / 2.0)
                 got = v[ti, :, 2]
@@ -265,15 +300,17 @@ class TestRenderViews:
     def test_occlusion_nearest_only(self):
         # two objects on the same ray: only the nearest is rendered;
         # brute-force ray-march oracle confirms the hit distance
-        scene = Scene(objects=((4.0, 0.0, 0.5), (8.0, 0.0, 0.5)), extent=16.0)
-        d, r = ray_hit(scene, 0.0)
-        assert d == pytest.approx(3.5, abs=1e-12)
+        scene = [(4.0, 0.0, 0.5), (8.0, 0.0, 0.5)]
+        dist, radius = world._nearest_hits(discs_of([scene], 16.0),
+                                           np.array([1.0]), np.array([0.0]))
+        d = float(dist[0, 0])
+        assert d == pytest.approx(3.5, abs=1e-12) and radius[0, 0] == 0.5
         # ray march in small steps until entering a disc
         step = 1e-4
         t = step
         while t < 16.0:
             if any((t * 1.0 - ox) ** 2 + (0.0 - oy) ** 2 <= rr ** 2
-                   for ox, oy, rr in scene.objects):
+                   for ox, oy, rr in scene):
                 break
             t += step
         assert d == pytest.approx(t, abs=2 * step)
@@ -289,45 +326,44 @@ class TestRenderViews:
                           n_azimuth_bins=4)]
         # two discs entered at exactly 4.0 along bearing 0 (the first one's
         # radius is written), the ego inside a disc, and an empty scene, then
-        # random scenes of big discs
-        scenes = [Scene(objects=((5.0, 0.0, 1.0), (6.0, 0.0, 2.0),
-                                 (-3.0, 3.0, 0.7)), extent=16.0),
-                  Scene(objects=((0.2, 0.1, 1.0), (3.0, 0.0, 1.0)),
-                        extent=16.0),
-                  Scene(objects=(), extent=16.0)]
+        # random scenes of big discs; each scene alone and all in one stack
+        scenes = [[(5.0, 0.0, 1.0), (6.0, 0.0, 2.0), (-3.0, 3.0, 0.7)],
+                  [(0.2, 0.1, 1.0), (3.0, 0.0, 1.0)],
+                  []]
         rng = np.random.default_rng(8)
-        scenes += [sample_scene(rng, n_objects=(0, 8), extent=6.0,
+        scenes += [scalar_scene(rng, n_objects=(0, 8), extent=6.0,
                                 radius_range=(0.5, 5.0)) for _ in range(30)]
         for rig in rigs:
-            for scene in scenes:
-                np.testing.assert_array_equal(render_views(scene, rig),
-                                              per_ray_views(scene, rig))
+            stack = render_views(discs_of(scenes, 16.0), rig)
+            for scene, views in zip(scenes, stack):
+                reference = per_ray_views(scene, rig)
+                np.testing.assert_array_equal(views, reference)
+                np.testing.assert_array_equal(
+                    render_views(discs_of([scene], 16.0), rig)[0], reference)
 
     def test_a_stack_is_one_grid_per_scene(self):
         # the ego inside a disc, an empty scene and a scene of five discs in
         # one stack: the shorter scenes are padded, and padding hits nothing
         rig = rig_from_preset("truck", [1, 4])
-        scenes = [Scene(objects=((0.2, 0.1, 1.0), (3.0, 0.0, 1.0)),
-                        extent=16.0),
-                  Scene(objects=(), extent=16.0),
-                  sample_scene(np.random.default_rng(2), n_objects=(5, 5),
+        scenes = [[(0.2, 0.1, 1.0), (3.0, 0.0, 1.0)], [],
+                  scalar_scene(np.random.default_rng(2), n_objects=(5, 5),
                                extent=6.0, radius_range=(0.5, 3.0))]
-        stack = render_views(scenes, rig)
-        assert stack.shape == (3,) + render_views(scenes[0], rig).shape
+        stack = render_views(discs_of(scenes, 16.0), rig)
+        assert stack.shape == (3, len(rig_tokens(rig).camera),
+                               rig.n_elevation_bins, 4)
         for scene, views in zip(scenes, stack):
             np.testing.assert_array_equal(views, per_ray_views(scene, rig))
-        assert render_views([], rig).shape == (0,) + stack.shape[1:]
 
     def test_drawn_discs_cast_and_rasterize_as_their_scenes(self):
-        # a drawn block is padded to 8 discs, a lone scene to its own count
+        # a drawn block is padded to 8 discs, and its scenes have 0 to 8
         rig = rig_from_preset("bus")
-        discs = world.draw_discs([(np.random.default_rng(6), 20)], (0, 8),
-                                 6.0, (0.5, 4.0))
+        discs = draw_discs([(np.random.default_rng(6), 20)], (0, 8),
+                           6.0, (0.5, 4.0))
         views = render_views(discs, rig)
         bev = rasterize_bev(discs, (9, 7), 6.0)
         rng = np.random.default_rng(6)
         for row in range(20):
-            scene = sample_scene(rng, (0, 8), 6.0, (0.5, 4.0))
+            scene = scalar_scene(rng, (0, 8), 6.0, (0.5, 4.0))
             np.testing.assert_array_equal(views[row], per_ray_views(scene, rig))
             np.testing.assert_array_equal(bev[row],
                                           per_cell_raster(scene, (9, 7), 6.0))
@@ -342,10 +378,10 @@ class TestRenderViews:
 
     def test_pose_sensitivity_car_vs_truck(self):
         # objects placed on bin-center bearings so hits are guaranteed
-        scene = Scene(objects=((6.0, 0.0, 1.2), (-4.0, 4.0, 1.0),
-                               (2.0, -7.0, 1.4)), extent=16.0)
-        car = render_views(scene, rig_from_preset("car"))
-        truck = render_views(scene, rig_from_preset("truck"))
+        discs = discs_of([[(6.0, 0.0, 1.2), (-4.0, 4.0, 1.0),
+                           (2.0, -7.0, 1.4)]], 16.0)
+        car = render_views(discs, rig_from_preset("car"))
+        truck = render_views(discs, rig_from_preset("truck"))
         assert car[..., 0].sum() > 0
         assert np.abs(car[..., 2] - truck[..., 2]).mean() > 0.0
 
@@ -369,8 +405,8 @@ class TestRigTokens:
         np.testing.assert_allclose(tokens.ux, np.cos(bearings), atol=1e-12)
         np.testing.assert_allclose(tokens.uy, np.sin(bearings), atol=1e-12)
         assert tokens.rays.shape == (len(expected), 3)
-        scene = sample_scene(np.random.default_rng(3), n_objects=(5, 5))
-        assert render_views(scene, rig).shape == (len(expected), 3, 4)
+        discs = draw_discs([(np.random.default_rng(3), 1)], n_objects=(5, 5))
+        assert render_views(discs, rig).shape == (1, len(expected), 3, 4)
 
     def test_identity_pose_rays_unchanged(self):
         rig = CameraRig(cameras=(CameraPose(height=2.0, fov_azimuth=360.0),),
@@ -451,17 +487,16 @@ class TestRigTokens:
 
 class TestRasterizeBev:
     def test_empty_scene(self):
-        grid = rasterize_bev(Scene(objects=(), extent=8.0), (16, 16), 8.0)
-        assert np.all(grid == 0.0)
+        grid = rasterize_bev(discs_of([[]], 8.0), (16, 16), 8.0)
+        assert grid.shape == (1, 16, 16) and np.all(grid == 0.0)
 
     def test_full_cover(self):
-        grid = rasterize_bev(Scene(objects=((0.0, 0.0, 100.0),), extent=8.0),
-                             (8, 8), 8.0)
+        grid = rasterize_bev(discs_of([[(0.0, 0.0, 100.0)]], 8.0), (8, 8), 8.0)
         assert np.all(grid == 1.0)
 
     def test_matches_per_cell_oracle(self):
-        scene = Scene(objects=((0.0, 0.0, 1.0),), extent=8.0)
-        grid = rasterize_bev(scene, (16, 16), 8.0)
+        scene = [(0.0, 0.0, 1.0)]
+        [grid] = rasterize_bev(discs_of([scene], 8.0), (16, 16), 8.0)
         assert grid.sum() == 4.0        # the four cells around the ego
         np.testing.assert_array_equal(grid,
                                       per_cell_raster(scene, (16, 16), 8.0))
@@ -470,22 +505,31 @@ class TestRasterizeBev:
         # disc counts 0, 1 and 3 in one stack pad the shorter scenes; the
         # padding covers no cell, not even one centred on the ego
         rng = np.random.default_rng(4)
-        scenes = [Scene(objects=(), extent=8.0),
-                  Scene(objects=((3.0, 0.0, 100.0),), extent=8.0),
-                  sample_scene(rng, n_objects=(3, 3), extent=8.0,
+        scenes = [[], [(3.0, 0.0, 100.0)],
+                  scalar_scene(rng, n_objects=(3, 3), extent=8.0,
                                radius_range=(1.0, 4.0))]
         grid = (5, 15)                  # cell (2, 7) is centred on the ego
-        stack = rasterize_bev(scenes, grid, 15.0)
+        stack = rasterize_bev(discs_of(scenes, 8.0), grid, 15.0)
         assert stack.shape == (3, 5, 15) and stack.dtype == np.float64
         assert stack[0].sum() == 0.0 and stack[1].sum() == 75.0
         for scene, one in zip(scenes, stack):
-            np.testing.assert_array_equal(one, rasterize_bev(scene, grid, 15.0))
+            np.testing.assert_array_equal(
+                one, rasterize_bev(discs_of([scene], 8.0), grid, 15.0)[0])
             np.testing.assert_array_equal(one,
                                           per_cell_raster(scene, grid, 15.0))
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            rasterize_bev(Scene(objects=(), extent=8.0), (2, 2), 8.0)
+            rasterize_bev(discs_of([[]], 8.0), (2, 2), 8.0)
+
+    def test_cell_centers_shared_by_key_and_read_only(self):
+        gx, gy = centers = cell_centers((5, 7), 6.0)
+        assert cell_centers((5, 7), 6.0) is centers
+        assert not (gx.flags.writeable or gy.flags.writeable)
+        # row i -> y, column j -> x
+        assert gx.shape == gy.shape == (5, 7)
+        assert (gx[0, 0], gy[0, 0]) == (-6.0 + 0.5 * (12.0 / 7),
+                                        -6.0 + 0.5 * (12.0 / 5))
 
 
 class TestClientDataset:
@@ -557,18 +601,17 @@ class TestYawEquivariance:
         # rotating every camera yaw by delta and the scene by delta leaves
         # the rendered features unchanged (ray geometry is relative)
         rng = np.random.default_rng(5)
-        scene = sample_scene(rng, n_objects=(3, 3))
+        scene = scalar_scene(rng, n_objects=(3, 3))
         delta = 360.0 / 24 * 3   # three bin widths
         rot = math.radians(delta)
-        rotated = Scene(objects=tuple(
-            (x * math.cos(rot) - y * math.sin(rot),
-             x * math.sin(rot) + y * math.cos(rot), r)
-            for x, y, r in scene.objects), extent=scene.extent)
+        rotated = [(x * math.cos(rot) - y * math.sin(rot),
+                    x * math.sin(rot) + y * math.cos(rot), r)
+                   for x, y, r in scene]
         rig = rig_from_preset("car")
         shifted = CameraRig(cameras=tuple(
             CameraPose(height=c.height, roll=c.roll, pitch=c.pitch,
                        yaw=c.yaw + delta, fov_azimuth=c.fov_azimuth)
             for c in rig.cameras), name="car")
-        v1 = render_views(scene, rig)
-        v2 = render_views(rotated, shifted)
+        v1 = render_views(discs_of([scene], 16.0), rig)
+        v2 = render_views(discs_of([rotated], 16.0), shifted)
         np.testing.assert_allclose(v1, v2, atol=1e-9)
